@@ -105,10 +105,6 @@ def _fundamental_circuits(bases: List[int], n: int) -> List[int]:
     return sorted(circuits, key=lambda c: (c.bit_count(), c))
 
 
-def _greedy_rank(view: MatroidView) -> int:
-    return view.full_rank
-
-
 def _bases_to_cyclicflats(desc: Description) -> Description:
     """Closure-of-circuits seeding plus the pairwise-union-closure loop.
 
@@ -219,7 +215,7 @@ def convert_edge(desc: Description, target: str) -> Description:
             return description("cyclicflats", n, keep, [view.rank(f) for f in keep])
 
     if desc.kind == "circuits" and target == "nsc":
-        r = _greedy_rank(to_view(desc))
+        r = to_view(desc).full_rank
         return description(
             "nsc", n, [c for c in desc.sets if c.bit_count() <= r], r=r
         )
@@ -227,7 +223,7 @@ def convert_edge(desc: Description, target: str) -> Description:
     if desc.kind == "hyperplanes" and target == "dephyp":
         dual_circuits = [full & ~h for h in desc.sets]
         dual_desc = description("circuits", n, dual_circuits)
-        dual_r = _greedy_rank(to_view(dual_desc))
+        dual_r = to_view(dual_desc).full_rank
         dual_nsc = [c for c in dual_circuits if c.bit_count() <= dual_r]
         return description("dephyp", n, [full & ~c for c in dual_nsc], r=n - dual_r)
 

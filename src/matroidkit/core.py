@@ -5,12 +5,17 @@ extensions).
 A view wraps either an independence predicate or a rank function over
 bit masks.  All derived quantities are obtained through the greedy
 algorithm, so any structure that can answer "is this subset
-independent?" yields the full query interface.
+independent?" yields the full query interface.  A view may also carry a
+table source: a function that builds its whole independence table with
+vectorised subset transforms, which the exhaustive layer in
+:mod:`matroidkit.tables` calls instead of querying every mask.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .bitsets import (
     CapacityError,
@@ -27,13 +32,15 @@ class MatroidView:
 
     Immutable after construction.  The internal rank memo only ever
     stores deterministic values, so views may be shared across threads.
+    ``table_source``, when given, returns the boolean independence table
+    over all ``2**n`` masks of the matroid that ``indep``/``rank`` query.
     """
 
     __slots__ = (
         "n",
         "full",
         "full_rank",
-        "desc",
+        "table_source",
         "name",
         "index_map",
         "_indep",
@@ -47,7 +54,7 @@ class MatroidView:
         n: int,
         indep: Optional[Callable[[int], bool]] = None,
         rank: Optional[Callable[[int], int]] = None,
-        desc=None,
+        table_source: Optional[Callable[[], np.ndarray]] = None,
         name: Optional[str] = None,
         index_map: Optional[Tuple[int, ...]] = None,
     ):
@@ -56,7 +63,7 @@ class MatroidView:
         check_ground(n)
         self.n = n
         self.full = full_mask(n)
-        self.desc = desc
+        self.table_source = table_source
         self.name = name
         self.index_map = index_map
         self._indep = indep

@@ -234,57 +234,139 @@ def _flat_heights(flat_list: Sequence[int]) -> Dict[int, int]:
     return heights
 
 
+def _unlisted_intersection(n: int, closed: int) -> ValueError:
+    return ValueError(
+        f"flats are not closed under intersection: {format_bits(closed, n)}"
+        " is an intersection of listed flats but is not listed"
+    )
+
+
+def _listed_ranks(desc: Description) -> np.ndarray:
+    table = np.zeros(1 << desc.n, dtype=np.int8)
+    table[np.array(desc.sets, dtype=np.int64)] = desc.set_ranks
+    return table
+
+
+def _independence_source(desc: Description, heights: Optional[Dict[int, int]]):
+    """The decoding rule of each kind as whole-table subset transforms:
+    returns a function building the independence table over all masks."""
+    n, kind, sets = desc.n, desc.kind, desc.sets
+    full = full_mask(n)
+
+    def from_rank(rank: np.ndarray) -> np.ndarray:
+        return rank == tables.popcounts(n)
+
+    def build() -> np.ndarray:
+        if kind == "rank":
+            return from_rank(_listed_ranks(desc))
+        if kind == "independent":
+            return tables.indicator(n, sets)
+        if kind == "bases":
+            return tables.down_closure(tables.indicator(n, sets), n)
+        if kind == "spanning":
+            listed = tables.indicator(n, sets)
+            minimal = listed & ~tables.strict_up_closure(listed, n)
+            return tables.down_closure(minimal, n)
+        if kind in ("circuits", "nsc"):
+            indep = ~tables.up_closure(tables.indicator(n, sets), n)
+            if kind == "nsc":
+                indep &= tables.popcounts(n) <= desc.r
+            return indep
+        if kind in ("hyperplanes", "dephyp"):
+            # the complements of the hyperplanes are the dual's circuits
+            dual_indep = ~tables.up_closure(
+                tables.indicator(n, (full ^ h for h in sets)), n
+            )
+            if kind == "dephyp":
+                dual_indep &= tables.popcounts(n) <= n - desc.r
+            dual_rank = tables.rank_from_independence(dual_indep, n)
+            # A is independent iff E - A spans the dual; full ^ m == 2^n-1-m
+            return dual_rank[::-1] == dual_rank[-1]
+        if kind == "flats":
+            closure = np.full(1 << n, full, dtype=np.int32)
+            closure[np.array(sets, dtype=np.int64)] = sets
+            tables.superset_and(closure, n)
+            height_of = np.full(1 << n, -1, dtype=np.int8)
+            height_of[np.fromiter(heights, dtype=np.int64)] = list(heights.values())
+            rank = height_of[closure]
+            if rank.min() < 0:
+                raise _unlisted_intersection(n, int(closure[np.argmin(rank)]))
+            return from_rank(rank)
+        # cyclicflats: r(A) = min over listed Z of r(Z) + |A - Z|
+        pc = tables.popcounts(n)
+        masks = np.arange(1 << n, dtype=np.int32)
+        rank = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
+        for z, rz in zip(sets, desc.set_ranks):
+            np.minimum(rank, pc[masks & (full ^ z)] + np.int8(rz), out=rank)
+        return from_rank(rank)
+
+    return build
+
+
 def to_view(desc: Description) -> MatroidView:
     """Decode a description into a queryable view.
 
-    Each kind gets its own decoding rule; hyperplane-side kinds are
-    routed through the dual (the circuits of the dual are the
+    Each kind gets its own decoding rule, once as a per-query predicate
+    over the listed sets and once as a table source that decodes the
+    whole subset lattice with vectorised transforms.  Hyperplane-side
+    kinds are routed through the dual (the circuits of the dual are the
     complements of the hyperplanes).
     """
     n = desc.n
     full = full_mask(n)
     name = f"{desc.kind}[n={n}]"
     kind = desc.kind
+    heights = None
+    if kind == "flats":
+        if full not in desc.sets:
+            raise ValueError("flats description does not list the ground set")
+        heights = _flat_heights(desc.sets)
+    source = _independence_source(desc, heights)
 
     if kind == "rank":
-        table = np.zeros(1 << n, dtype=np.int8)
-        for mask, rk in zip(desc.sets, desc.set_ranks):
-            table[mask] = rk
-        return MatroidView(n, rank=lambda a: int(table[a]), desc=desc, name=name)
+        table = _listed_ranks(desc)
+        return MatroidView(
+            n, rank=lambda a: int(table[a]), table_source=source, name=name
+        )
 
     if kind == "independent":
         listed = frozenset(desc.sets)
-        return MatroidView(n, indep=lambda a: a in listed, desc=desc, name=name)
+        return MatroidView(
+            n, indep=lambda a: a in listed, table_source=source, name=name
+        )
 
     if kind in ("spanning", "bases"):
         if not desc.sets:
             raise ValueError(f"{kind} description lists no sets")
         bases = _minimal(desc.sets) if kind == "spanning" else list(desc.sets)
         return MatroidView(
-            n, indep=lambda a: _subset_of_some(a, bases), desc=desc, name=name
+            n,
+            indep=lambda a: _subset_of_some(a, bases),
+            table_source=source,
+            name=name,
         )
 
     if kind == "flats":
-        if full not in desc.sets:
-            raise ValueError("flats description does not list the ground set")
         flat_list = list(desc.sets)
-        heights = _flat_heights(flat_list)
 
-        def close(a: int) -> int:
-            out = full
+        def flat_rank(a: int) -> int:
+            closed = full
             for f in flat_list:
                 if a & f == a:
-                    out &= f
-            return out
+                    closed &= f
+            if closed not in heights:
+                raise _unlisted_intersection(n, closed)
+            return heights[closed]
 
-        return MatroidView(
-            n, rank=lambda a: heights[close(a)], desc=desc, name=name
-        )
+        return MatroidView(n, rank=flat_rank, table_source=source, name=name)
 
     if kind == "circuits":
         circuits = list(desc.sets)
         return MatroidView(
-            n, indep=lambda a: not _contains_some(a, circuits), desc=desc, name=name
+            n,
+            indep=lambda a: not _contains_some(a, circuits),
+            table_source=source,
+            name=name,
         )
 
     if kind == "nsc":
@@ -293,7 +375,7 @@ def to_view(desc: Description) -> MatroidView:
         return MatroidView(
             n,
             indep=lambda a: a.bit_count() <= r and not _contains_some(a, circuits),
-            desc=desc,
+            table_source=source,
             name=name,
         )
 
@@ -316,7 +398,7 @@ def to_view(desc: Description) -> MatroidView:
             # A is independent iff E - A spans the dual
             return dual.rank(full & ~a) == dual_rank
 
-        return MatroidView(n, indep=indep, desc=desc, name=name)
+        return MatroidView(n, indep=indep, table_source=source, name=name)
 
     if kind == "cyclicflats":
         pairs = list(zip(desc.sets, desc.set_ranks))
@@ -326,7 +408,7 @@ def to_view(desc: Description) -> MatroidView:
         def rank(a: int) -> int:
             return min(rz + (a & ~z).bit_count() for z, rz in pairs)
 
-        return MatroidView(n, rank=rank, desc=desc, name=name)
+        return MatroidView(n, rank=rank, table_source=source, name=name)
 
     raise ValueError(f"unknown description kind {kind!r}")
 

@@ -13,6 +13,7 @@ from typing import List, Tuple
 from .bitsets import check_ground, elements
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
 from .descriptions import description, to_view
+from .tables import popcounts
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,12 @@ def uniform(r: int, n: int) -> MatroidView:
     if not 0 <= r <= n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     check_ground(n)
-    return MatroidView(n, rank=lambda a: min(a.bit_count(), r), name=f"U({r},{n})")
+    return MatroidView(
+        n,
+        rank=lambda a: min(a.bit_count(), r),
+        table_source=lambda: popcounts(n) <= r,
+        name=f"U({r},{n})",
+    )
 
 
 FAMILY_TAGS = ("L10", "L11", "L15", "L17", "L18", "L20")

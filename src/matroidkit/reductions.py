@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from . import tables
@@ -21,6 +20,9 @@ from .bitsets import elements, from_elements, full_mask, submasks
 from .core import MatroidView, minor_circuits
 from .descriptions import Description, description, encode_from_oracle, to_view
 from .families import MultiGraph, phi, phi_r, subdivision_length
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 # -- matroid isomorphism -------------------------------------------------
@@ -311,6 +313,8 @@ def encode_bipartite(desc: Description) -> EncodedBipartiteGraph:
     the ground set, and rank data (per-set or header) is encoded in
     unary-of-binary branch gadgets.
     """
+    import networkx as nx  # deferred: the only networkx user, slow to import
+
     g = nx.Graph()
     roles: Dict[object, str] = {}
     anchor = ("anchor",)

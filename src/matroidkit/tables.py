@@ -4,6 +4,11 @@ Everything here enumerates all ``2**n`` subsets, which the ground-set
 cap keeps affordable.  These tables are the independent oracle against
 which the listed-data algorithms are checked, and the engine behind
 exhaustive re-encoding.
+
+Tables are indexed by mask and built with Yates-style subset transforms:
+one vectorised pass per element over the two halves of the table that
+differ only in that element, O(n * 2**n) work in all.  A view without a
+table source falls back to one ``is_independent`` query per mask.
 """
 
 from __future__ import annotations
@@ -23,46 +28,101 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
+def halves(table: np.ndarray, b: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Views of the masks without and with bit ``b``, aligned so that
+    entry ``i`` of the second is entry ``i`` of the first plus ``b``.
+    Writing to either view writes to ``table``."""
+    split = table.reshape(-1, 2, 1 << b)
+    return split[:, 0, :], split[:, 1, :]
+
+
+def indicator(n: int, sets) -> np.ndarray:
+    """Boolean table that is true exactly on the listed masks."""
+    out = np.zeros(1 << n, dtype=bool)
+    out[np.fromiter(sets, dtype=np.int64)] = True
+    return out
+
+
+def down_closure(table: np.ndarray, n: int) -> np.ndarray:
+    """In place: true on every subset of a set where ``table`` is true."""
+    for b in range(n):
+        without, with_b = halves(table, b)
+        without |= with_b
+    return table
+
+
+def up_closure(table: np.ndarray, n: int) -> np.ndarray:
+    """In place: true on every superset of a set where ``table`` is true."""
+    for b in range(n):
+        without, with_b = halves(table, b)
+        with_b |= without
+    return table
+
+
+def strict_up_closure(table: np.ndarray, n: int) -> np.ndarray:
+    """True on every proper superset of a set where ``table`` is true."""
+    closed = up_closure(table.copy(), n)
+    out = np.zeros_like(table)
+    for b in range(n):
+        closed_without, _ = halves(closed, b)
+        _, out_with = halves(out, b)
+        out_with |= closed_without
+    return out
+
+
+def subset_max(table: np.ndarray, n: int) -> np.ndarray:
+    """In place: the maximum of ``table`` over the subsets of each mask."""
+    for b in range(n):
+        without, with_b = halves(table, b)
+        np.maximum(with_b, without, out=with_b)
+    return table
+
+
+def superset_and(table: np.ndarray, n: int) -> np.ndarray:
+    """In place: the bitwise AND of ``table`` over the supersets of each
+    mask."""
+    for b in range(n):
+        without, with_b = halves(table, b)
+        without &= with_b
+    return table
+
+
 def independence_table(view: MatroidView) -> np.ndarray:
-    """Boolean array over all masks; cached on the view."""
+    """Boolean array over all masks; cached on the view.
+
+    Built by the view's table source when it has one; otherwise by
+    querying ``is_independent`` once per mask, which is also the
+    reference the table sources are tested against.
+    """
     cached = view._tables
     if cached is not None and "indep" in cached:
         return cached["indep"]
-    size = 1 << view.n
-    indep = np.fromiter(
-        (view.is_independent(m) for m in range(size)), dtype=bool, count=size
-    )
+    if view.table_source is not None:
+        indep = view.table_source()
+    else:
+        size = 1 << view.n
+        indep = np.fromiter(
+            (view.is_independent(m) for m in range(size)), dtype=bool, count=size
+        )
     if cached is None:
         cached = view._tables = {}
     cached["indep"] = indep
     return indep
 
 
+def rank_from_independence(indep: np.ndarray, n: int) -> np.ndarray:
+    """r(A) = the largest independent subset of A: a subset-max
+    transform of the independent sets' cardinalities."""
+    return subset_max(np.where(indep, popcounts(n), np.int8(0)), n)
+
+
 def rank_table(view: MatroidView) -> np.ndarray:
-    """Rank of every mask, derived from the independence table by the
-    level-by-level recursion r(A) = max_e r(A - e) for dependent A."""
+    """Rank of every mask, derived from the independence table."""
     cached = view._tables
     if cached is not None and "rank" in cached:
         return cached["rank"]
-    n = view.n
-    indep = independence_table(view)
-    pc = popcounts(n)
-    rank = np.where(indep, pc, 0).astype(np.int8)
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    for k in range(1, n + 1):
-        level = all_masks[(pc == k) & ~indep]
-        if len(level) == 0:
-            continue
-        acc = np.zeros(len(level), dtype=np.int8)
-        for b in range(n):
-            bit = 1 << b
-            sel = (level & bit) != 0
-            if not sel.any():
-                continue
-            acc[sel] = np.maximum(acc[sel], rank[level[sel] ^ bit])
-        rank[level] = acc
-    cached = view._tables
-    cached["rank"] = rank
+    rank = rank_from_independence(independence_table(view), view.n)
+    view._tables["rank"] = rank
     return rank
 
 
@@ -76,8 +136,7 @@ def classify(view: MatroidView) -> Dict[str, np.ndarray]:
     indep = independence_table(view)
     rank = rank_table(view)
     pc = popcounts(n)
-    r = int(rank[-1]) if n else 0
-    all_masks = np.arange(1 << n, dtype=np.int64)
+    r = int(rank[-1])
 
     spanning = rank == r
     bases = indep & (pc == r)
@@ -89,15 +148,17 @@ def classify(view: MatroidView) -> Dict[str, np.ndarray]:
     # cyclic: no inside element drops the rank (no coloop of the restriction)
     cyclic = np.ones(1 << n, dtype=bool)
     for b in range(n):
-        bit = 1 << b
-        has = (all_masks & bit) != 0
-        inside = all_masks[has]
-        circuits[inside] &= indep[inside ^ bit]
-        cyclic[inside] &= rank[inside ^ bit] == rank[inside]
-        outside = all_masks[~has]
-        flats[outside] &= rank[outside | bit] != rank[outside]
+        indep_without, _ = halves(indep, b)
+        rank_without, rank_with = halves(rank, b)
+        _, circuits_with = halves(circuits, b)
+        circuits_with &= indep_without
+        same = rank_without == rank_with
+        _, cyclic_with = halves(cyclic, b)
+        cyclic_with &= same
+        flats_without, _ = halves(flats, b)
+        flats_without &= ~same
 
-    hyperplanes = flats & (rank == r - 1) if r >= 1 else np.zeros(1 << n, dtype=bool)
+    hyperplanes = flats & (rank == r - 1)
     out = {
         "independent": indep,
         "spanning": spanning,
@@ -119,11 +180,7 @@ def family_masks(view: MatroidView, family: str) -> List[int]:
     masks = np.nonzero(flags)[0]
     pc = popcounts(view.n)[masks]
     order = np.lexsort((masks, pc))
-    return [int(m) for m in masks[order]]
-
-
-def circuit_masks(view: MatroidView) -> List[int]:
-    return family_masks(view, "circuits")
+    return masks[order].tolist()
 
 
 def rank_signature(view: MatroidView) -> Tuple[int, ...]:

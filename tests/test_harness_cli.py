@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 
@@ -234,3 +237,54 @@ def test_cli_error_paths(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_flats_not_intersection_closed(tmp_path, capsys):
+    # 110 and 011 meet in 010, which is not listed
+    f = _write(tmp_path, "flats.txt", "matroid flats n=3\n110\n011\n111\n")
+    assert main(["convert", "--in", f, "--to", "bases"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: flats are not closed under intersection: 010")
+    assert main(["validate", f]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL flats-intersection-closed" in out
+    assert "FAIL round-trip (decoding failed: flats are not closed under intersection: 010" in out
+
+
+@pytest.mark.parametrize(
+    "side",
+    [
+        ("3dm", "has_matching", lambda ts: None),
+        ("subgraph", "subgraph_contains", lambda g, h: False),
+        ("indepset", "graph_has_independent_set", lambda g, k: None),
+    ],
+    ids=lambda side: side[0],
+)
+def test_cli_reduce_round_trip_mismatch_exits_4(tmp_path, capsys, monkeypatch, side):
+    problem, graph_side, answer = side
+    monkeypatch.setattr(f"matroidkit.reductions.{graph_side}", answer)
+    ts = _write(tmp_path, "ts.txt", "3dm s=2\n0 0 0\n1 1 1\n0 1 1\n")
+    g = _write(tmp_path, "g.txt", "graph n=3\n0 1\n1 2\n0 2\n")
+    h = _write(tmp_path, "h.txt", "graph n=3\n0 1\n1 2\n")
+    inputs = {
+        "3dm": [ts],
+        "subgraph": [g, h],
+        "indepset": [h, "-k", "2", "-r", "3"],
+    }[problem]
+    prefix = str(tmp_path / "out")
+    argv = ["reduce", problem, *inputs, "--verify", "--out-prefix", prefix]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "round trip: FAILED" in captured.err
+    assert "round trip: ok" not in captured.out
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, matroidkit.cli; print('networkx' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -2,9 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matroidkit import uniform
-from matroidkit.bitsets import elements, full_mask
+from matroidkit import KINDS, description, encode_from_oracle, to_view, uniform
+from matroidkit.bitsets import elements, full_mask, submasks
 from matroidkit.tables import (
     classify,
     family_masks,
@@ -109,3 +111,56 @@ def test_table_view():
 def test_views_equal_requires_same_ground():
     with pytest.raises(ValueError):
         views_equal(uniform(1, 2), uniform(1, 3))
+
+
+# -- the table engine against the per-mask predicate path ----------------
+
+
+def _predicate_tables(view):
+    """Independence by one ``is_independent`` query per mask; rank as the
+    largest independent subset, by enumerating submasks."""
+    size = 1 << view.n
+    indep = [view.is_independent(m) for m in range(size)]
+    rank = [
+        max((s.bit_count() for s in submasks(m) if indep[s]), default=0)
+        for m in range(size)
+    ]
+    return np.array(indep, dtype=bool), np.array(rank, dtype=np.int8)
+
+
+def _assert_engine_matches(desc):
+    view = to_view(desc)
+    assert view.table_source is not None
+    want_indep, want_rank = _predicate_tables(view)
+    np.testing.assert_array_equal(independence_table(view), want_indep)
+    np.testing.assert_array_equal(rank_table(view), want_rank)
+
+
+@pytest.mark.parametrize("view", corpus_params())
+@pytest.mark.parametrize("kind", KINDS)
+def test_engine_matches_predicate_path(view, kind):
+    _assert_engine_matches(encode_from_oracle(view, kind))
+
+
+@st.composite
+def antichain_descriptions(draw):
+    """Random antichains, possibly non-matroidal, decoded as one of the
+    kinds whose engine rule equals its predicate on any input."""
+    n = draw(st.integers(1, 8))
+    candidates = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    sets = [c for c in set(candidates)
+            if not any(o != c and o & c == o for o in candidates)]
+    kind = draw(st.sampled_from(
+        ("circuits", "nsc", "bases", "spanning", "independent", "cyclicflats")))
+    if kind == "nsc":
+        return description(kind, n, sets, r=draw(st.integers(0, n)))
+    if kind == "cyclicflats":
+        ranks = [draw(st.integers(0, s.bit_count())) for s in sets]
+        return description(kind, n, sets, ranks)
+    return description(kind, n, sets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(antichain_descriptions())
+def test_engine_matches_predicate_path_on_antichains(desc):
+    _assert_engine_matches(desc)
