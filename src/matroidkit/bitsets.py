@@ -89,8 +89,11 @@ def masks_of_size(n: int, k: int) -> Iterator[int]:
 
 
 def format_bits(mask: int, n: int) -> str:
-    """Characteristic vector as text; leftmost character is element 0."""
-    return "".join("1" if mask >> j & 1 else "0" for j in range(n))
+    """Characteristic vector as text; leftmost character is element 0.
+    ``mask`` must lie within the ``n`` elements."""
+    # bin() writes '0b1' then the bits from n-1 down to 0; reverse and
+    # stop before the marker bit
+    return bin(mask | 1 << n)[:2:-1]
 
 
 def parse_bits(text: str) -> int:

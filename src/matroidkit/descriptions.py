@@ -20,12 +20,12 @@ bitstring character is element 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tables
-from .bitsets import check_ground, check_mask, elements, format_bits, full_mask, parse_bits
+from .bitsets import check_ground, check_mask, format_bits, full_mask, parse_bits
 from .core import MatroidView
 
 KINDS = (
@@ -118,18 +118,48 @@ def description(
 # -- text format ---------------------------------------------------------
 
 
-def parse(text) -> Description:
-    """Parse the text format; structural validation only."""
+def content_lines(text) -> Iterator[Tuple[int, str]]:
+    """The stripped lines of a text input with their 1-based numbers;
+    bytes are read as UTF-8, blank and ``#`` comment lines are skipped."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def int_records(text, tag: str, key: str, width: int) -> Tuple[int, List[Tuple[int, ...]]]:
+    """Read a ``<tag> <key>=<int>`` header and then lines of ``width``
+    integers each: the line format of the graph and 3DM inputs."""
+    value = None
+    records: List[Tuple[int, ...]] = []
+    for lineno, line in content_lines(text):
+        fields = line.split()
+        try:
+            if value is None:
+                if len(fields) != 2 or fields[0] != tag or not fields[1].startswith(f"{key}="):
+                    raise ValueError
+                value = int(fields[1][len(key) + 1 :])
+            elif len(fields) != width:
+                raise ValueError
+            else:
+                records.append(tuple(int(x) for x in fields))
+        except ValueError:
+            expected = f"header '{tag} {key}=<{key}>'" if value is None else f"{width} integers"
+            raise ParseError(f"expected {expected}, got {line!r}", lineno) from None
+    if value is None:
+        raise ParseError(f"empty {tag} input", 1)
+    return value, records
+
+
+def parse(text) -> Description:
+    """Parse the text format; structural validation only."""
     header = None
     kind = n = r = None
     sets: List[int] = []
     ranks: List[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         if header is None:
             fields = line.split()
             if len(fields) < 3 or fields[0] != "matroid":
@@ -213,10 +243,6 @@ def _minimal(sets: Sequence[int]) -> List[int]:
     return [c for c in sets if not any(o != c and o & c == o for o in sets)]
 
 
-def _maximal(sets: Sequence[int]) -> List[int]:
-    return [c for c in sets if not any(o != c and o & c == c for o in sets)]
-
-
 def _subset_of_some(a: int, family: Sequence[int]) -> bool:
     return any(a & b == a for b in family)
 
@@ -239,6 +265,14 @@ def _unlisted_intersection(n: int, closed: int) -> ValueError:
         f"flats are not closed under intersection: {format_bits(closed, n)}"
         " is an intersection of listed flats but is not listed"
     )
+
+
+def _flat_closure(n: int, flat_list: Sequence[int]) -> np.ndarray:
+    """The intersection of the listed flats containing each mask (the
+    ground set where none does): a superset-AND transform."""
+    closure = np.full(1 << n, full_mask(n), dtype=np.int32)
+    closure[np.array(flat_list, dtype=np.int64)] = flat_list
+    return tables.superset_and(closure, n)
 
 
 def _listed_ranks(desc: Description) -> np.ndarray:
@@ -283,9 +317,7 @@ def _independence_source(desc: Description, heights: Optional[Dict[int, int]]):
             # A is independent iff E - A spans the dual; full ^ m == 2^n-1-m
             return dual_rank[::-1] == dual_rank[-1]
         if kind == "flats":
-            closure = np.full(1 << n, full, dtype=np.int32)
-            closure[np.array(sets, dtype=np.int64)] = sets
-            tables.superset_and(closure, n)
+            closure = _flat_closure(n, sets)
             height_of = np.full(1 << n, -1, dtype=np.int8)
             height_of[np.fromiter(heights, dtype=np.int64)] = list(heights.values())
             rank = height_of[closure]
@@ -462,170 +494,78 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _antichain_check(sets: Sequence[int], n: int):
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            if a & b == a or a & b == b:
-                return False, f"{format_bits(a, n)} comparable with {format_bits(b, n)}"
-    return True, ""
+def _antichain_violation(sets: Sequence[int], n: int) -> str:
+    """Empty for an antichain; otherwise names a listed set that contains
+    another listed set."""
+    listed = tables.indicator(n, sets)
+    above = np.flatnonzero(listed & tables.strict_up_closure(listed, n))
+    if not len(above):
+        return ""
+    big = int(above[0])
+    small = next(m for m in sets if m != big and m & big == m)
+    return f"{format_bits(small, n)} is contained in {format_bits(big, n)}"
+
+
+def _matroid_check(view: MatroidView) -> Tuple[str, bool, str]:
+    """The matroid-axiom check on the decoded table, with a witness."""
+    broken = tables.matroid_violation(view)
+    if broken is None:
+        return "matroid", True, ""
+    axiom, a, elems = broken
+    n = view.n
+    if axiom == "exchange":
+        e, f = elems
+        detail = f"r(A+{e}) + r(A+{f}) < r(A+{e}+{f}) + r(A) for A = {format_bits(a, n)}"
+    elif elems:
+        bigger = format_bits(a | 1 << elems[0], n)
+        detail = f"{bigger} is independent but its subset {format_bits(a, n)} is not"
+    else:
+        detail = "the empty set is dependent"
+    return f"matroid-{axiom}", False, detail
 
 
 def validate(desc: Description) -> ValidationReport:
-    """Kind-specific axiom checks plus a decode/re-encode round trip.
+    """Check that a description describes a matroid, and describes it
+    exactly as the canonical listing of its kind.
+
+    Three stages, the same for every kind: cheap shape checks on the
+    listed sets (bases equicardinal, circuits and hyperplanes an
+    antichain, flats closed under intersection); the matroid axioms on
+    the decoded independence table (hereditary, and the local rank
+    axioms, see :func:`tables.matroid_violation`); and a decode/re-encode
+    round trip.  The second stage accepts only matroids, and the round
+    trip then accepts only the canonical description of that matroid,
+    so every non-matroid is rejected.
 
     Never raises; every problem becomes a failed check in the report.
     """
     checks: List[Tuple[str, bool, str]] = []
-    n, full = desc.n, full_mask(desc.n)
-    sets = desc.sets
+    n, kind, sets = desc.n, desc.kind, desc.sets
 
     def add(name: str, passed: bool, detail: str = ""):
         checks.append((name, bool(passed), detail if not passed else ""))
 
-    kind = desc.kind
     if kind == "bases":
-        add("bases-nonempty", bool(sets))
-        if sets:
-            cards = {b.bit_count() for b in sets}
-            add("bases-equicardinal", len(cards) == 1, f"cardinalities {sorted(cards)}")
-            ok, witness = True, ""
-            listed = set(sets)
-            for b1 in sets:
-                for b2 in sets:
-                    for e in elements(b1 & ~b2):
-                        if not any(
-                            (b1 & ~(1 << e)) | (1 << f) in listed
-                            for f in elements(b2 & ~b1)
-                        ):
-                            ok, witness = False, (
-                                f"no exchange for {e} out of {format_bits(b1, n)}"
-                                f" into {format_bits(b2, n)}"
-                            )
-                if not ok:
-                    break
-            add("bases-exchange", ok, witness)
-    elif kind in ("circuits", "nsc"):
-        add("circuits-nonempty-sets", all(c for c in sets))
-        ok, witness = _antichain_check(sets, n)
-        add("circuits-antichain", ok, witness)
-        if kind == "nsc":
-            add(
-                "nsc-sizes",
-                all(c.bit_count() <= desc.r for c in sets),
-                f"listed circuit larger than rank {desc.r}",
-            )
-    elif kind in ("hyperplanes", "dephyp"):
-        add("hyperplanes-proper", all(h != full for h in sets) or n == 0)
-        ok, witness = _antichain_check(sets, n)
-        add("hyperplanes-antichain", ok, witness)
+        cards = sorted({b.bit_count() for b in sets})
+        add("bases-equicardinal", len(cards) <= 1, f"cardinalities {cards}")
+    elif kind in ("circuits", "nsc", "hyperplanes", "dephyp"):
+        witness = _antichain_violation(sets, n)
+        family = "circuits" if kind in ("circuits", "nsc") else "hyperplanes"
+        add(f"{family}-antichain", not witness, witness)
     elif kind == "flats":
-        add("flats-contain-ground-set", full in sets)
-        ok, witness = True, ""
-        listed = set(sets)
-        for i, f1 in enumerate(sets):
-            for f2 in sets[i + 1 :]:
-                if f1 & f2 not in listed:
-                    ok, witness = False, (
-                        f"intersection of {format_bits(f1, n)} and"
-                        f" {format_bits(f2, n)} not listed"
-                    )
-                    break
-            if not ok:
-                break
-        add("flats-intersection-closed", ok, witness)
-    elif kind == "independent":
-        add("independent-contains-empty", 0 in sets)
-        listed = set(sets)
-        ok = all(a & ~(1 << e) in listed for a in sets for e in elements(a))
-        add("independent-hereditary", ok)
-        ok, witness = True, ""
-        for a in sets:
-            for b in sets:
-                if a.bit_count() < b.bit_count():
-                    if not any((a | (1 << e)) in listed for e in elements(b & ~a)):
-                        ok, witness = False, (
-                            f"no augmentation of {format_bits(a, n)} from {format_bits(b, n)}"
-                        )
-        add("independent-exchange", ok, witness)
-    elif kind == "spanning":
-        add("spanning-contains-ground-set", full in sets)
-        listed = set(sets)
-        ok = all(
-            a | (1 << e) in listed for a in sets for e in elements(full & ~a)
-        )
-        add("spanning-upward-closed", ok)
-    elif kind == "rank":
-        table = {m: rk for m, rk in zip(sets, desc.set_ranks)}
-        add("rank-complete", len(table) == 1 << n)
-        if len(table) == 1 << n:
-            add("rank-empty-set", table[0] == 0)
-            ok, witness = True, ""
-            for a in range(1 << n):
-                for e in range(n):
-                    if a >> e & 1:
-                        continue
-                    step = table[a | (1 << e)] - table[a]
-                    if step not in (0, 1):
-                        ok, witness = False, (
-                            f"rank step {step} adding {e} to {format_bits(a, n)}"
-                        )
-                        break
-                if not ok:
-                    break
-            add("rank-unit-increase", ok, witness)
-            ok, witness = True, ""
-            for a in range(1 << n):
-                outside = [e for e in range(n) if not a >> e & 1]
-                for i, e in enumerate(outside):
-                    for f in outside[i + 1 :]:
-                        be, bf = 1 << e, 1 << f
-                        if table[a | be] + table[a | bf] < table[a | be | bf] + table[a]:
-                            ok, witness = False, (
-                                f"submodularity fails at {format_bits(a, n)}"
-                                f" with elements {e}, {f}"
-                            )
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            add("rank-submodular", ok, witness)
-    elif kind == "cyclicflats":
-        table = dict(zip(desc.sets, desc.set_ranks))
-        ok = all(rk <= z.bit_count() for z, rk in table.items())
-        add("cyclicflats-rank-bounds", ok)
-        try:
-            view = to_view(desc)
-            ok, witness = True, ""
-            for z, rk in table.items():
-                if view.rank(z) != rk:
-                    ok, witness = False, (
-                        f"listed rank {rk} of {format_bits(z, n)} is not reproduced"
-                    )
-                    break
-            add("cyclicflats-ranks-consistent", ok, witness)
-            ok, witness = True, ""
-            for z1 in desc.sets:
-                for z2 in desc.sets:
-                    join = view.closure(z1 | z2)
-                    if join not in table:
-                        ok, witness = False, (
-                            f"join of {format_bits(z1, n)} and"
-                            f" {format_bits(z2, n)} not listed"
-                        )
-                        break
-                if not ok:
-                    break
-            add("cyclicflats-join-closed", ok, witness)
-        except Exception as exc:  # report, never abort
-            add("cyclicflats-decodable", False, str(exc))
+        closure = _flat_closure(n, sets)
+        unlisted = np.flatnonzero(~tables.indicator(n, sets)[closure])
+        witness = ""
+        if len(unlisted):
+            witness = str(_unlisted_intersection(n, int(closure[unlisted[0]])))
+        add("flats-intersection-closed", not witness, witness)
 
     try:
         view = to_view(desc)
-        round_trip = encode_from_oracle(view, kind)
+        add(*_matroid_check(view))
         add(
             "round-trip",
-            round_trip == desc,
+            encode_from_oracle(view, kind) == desc,
             "decode/re-encode does not reproduce the description",
         )
     except Exception as exc:

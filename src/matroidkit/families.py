@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 from .bitsets import check_ground, elements
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
-from .descriptions import description, to_view
+from .descriptions import description, int_records, to_view
 from .tables import popcounts
 
 
@@ -48,26 +48,7 @@ def multigraph(v: int, edges) -> MultiGraph:
 
 def parse_graph(text) -> MultiGraph:
     """Graph text format: 'graph n=<v>' then one 'u w' line per edge."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    v = None
-    edges: List[Tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if v is None:
-            fields = line.split()
-            if len(fields) != 2 or fields[0] != "graph" or not fields[1].startswith("n="):
-                raise ValueError(f"line {lineno}: expected header 'graph n=<v>'")
-            v = int(fields[1][2:])
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'u w'")
-        edges.append((int(fields[0]), int(fields[1])))
-    if v is None:
-        raise ValueError("empty graph input")
+    v, edges = int_records(text, "graph", "n", 2)
     return multigraph(v, edges)
 
 

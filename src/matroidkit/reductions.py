@@ -18,7 +18,7 @@ import numpy as np
 from . import tables
 from .bitsets import elements, from_elements, full_mask, submasks
 from .core import MatroidView, minor_circuits
-from .descriptions import Description, description, encode_from_oracle, to_view
+from .descriptions import Description, description, encode_from_oracle, int_records, to_view
 from .families import MultiGraph, phi, phi_r, subdivision_length
 
 if TYPE_CHECKING:
@@ -400,26 +400,7 @@ class TripleSystem:
 
 def parse_3dm(text) -> TripleSystem:
     """3DM text format: '3dm s=<s>' then one 'a b c' line per triple."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    s = None
-    triples: List[Tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if s is None:
-            fields = line.split()
-            if len(fields) != 2 or fields[0] != "3dm" or not fields[1].startswith("s="):
-                raise ValueError(f"line {lineno}: expected header '3dm s=<s>'")
-            s = int(fields[1][2:])
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'a b c'")
-        triples.append((int(fields[0]), int(fields[1]), int(fields[2])))
-    if s is None:
-        raise ValueError("empty 3dm input")
+    s, triples = int_records(text, "3dm", "s", 3)
     return TripleSystem(s, tuple(triples))
 
 

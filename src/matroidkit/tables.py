@@ -13,7 +13,7 @@ table source falls back to one ``is_independent`` query per mask.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +124,45 @@ def rank_table(view: MatroidView) -> np.ndarray:
     rank = rank_from_independence(independence_table(view), view.n)
     view._tables["rank"] = rank
     return rank
+
+
+def matroid_violation(view: MatroidView) -> Optional[Tuple[str, int, Tuple[int, ...]]]:
+    """The first matroid axiom the view's independence table breaks, as
+    ``(axiom, A, elements)``, or None for a matroid.
+
+    ``("hereditary", A, (e,))``: A+e is independent but A is not; A = 0
+    with no elements when even the empty set is dependent.
+    ``("exchange", A, (e, f))``: the derived rank breaks the local
+    submodular inequality r(A+e) + r(A+f) >= r(A+e+f) + r(A).  With
+    r(0) = 0 and unit increase, which a hereditary table gives its
+    derived rank, this local inequality characterises matroid rank
+    functions (Oxley, *Matroid Theory*).
+    """
+    n = view.n
+    indep = independence_table(view)
+    if not indep[0]:
+        return "hereditary", 0, ()
+    for b in range(n):
+        without, with_b = halves(indep, b)
+        bad = np.argwhere(with_b & ~without)
+        if len(bad):
+            high, low = bad[0]
+            return "hereditary", int(high) << (b + 1) | int(low), (b,)
+    rank = rank_table(view)
+    for f in range(n):
+        for e in range(f):
+            # axes: masks above f, bit f, masks between e and f, bit e, masks
+            # below e; ranks are at most 24, so the int8 sums cannot wrap
+            split = rank.reshape(-1, 2, 1 << (f - e - 1), 2, 1 << e)
+            bad = np.argwhere(
+                split[:, 0, :, 1, :] + split[:, 1, :, 0, :]
+                < split[:, 1, :, 1, :] + split[:, 0, :, 0, :]
+            )
+            if len(bad):
+                high, mid, low = bad[0]
+                a = int(high) << (f + 1) | int(mid) << (e + 1) | int(low)
+                return "exchange", a, (e, f)
+    return None
 
 
 def classify(view: MatroidView) -> Dict[str, np.ndarray]:

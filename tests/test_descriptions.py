@@ -188,3 +188,25 @@ def test_validate_never_raises_on_weird_input():
     # spanning sets that decode to nothing sensible
     report = validate(description("spanning", 2, [0b01]))
     assert not report.ok
+
+
+# Two non-matroids that pass every shape check of their kind.
+#: circuit elimination fails: no circuit lies inside {0, 2}
+ELIMINATION_COUNTEREXAMPLE = description("circuits", 3, [0b011, 0b110])
+#: basis exchange fails for the minimal spanning sets {0,1} and {2,3}
+EXCHANGE_COUNTEREXAMPLE = description(
+    "spanning", 4, [m for m in range(16) if m & 0b0011 == 0b0011 or m & 0b1100 == 0b1100]
+)
+
+
+@pytest.mark.parametrize("desc", [ELIMINATION_COUNTEREXAMPLE, EXCHANGE_COUNTEREXAMPLE])
+def test_validate_rejects_shape_correct_non_matroids(desc):
+    report = validate(desc)
+    assert not report.ok
+    assert any(f.startswith("matroid-exchange: ") for f in report.failures)
+
+
+def test_validate_rejects_non_hereditary_independent_sets():
+    report = validate(description("independent", 2, [0b00, 0b11]))
+    assert not report.ok
+    assert any(f.startswith("matroid-hereditary: ") for f in report.failures)

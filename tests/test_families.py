@@ -231,3 +231,10 @@ def test_phi_r_input_checks():
         phi_r(P3, 2)
     with pytest.raises(ValueError):
         phi_r(multigraph(2, [(0, 1), (0, 1)]), 3)
+
+
+def test_graph_text_errors_name_the_line():
+    with pytest.raises(ValueError, match=r"^line 2: expected header 'graph n=<n>'"):
+        parse_graph("# comment\ngraph n=x\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected 2 integers"):
+        parse_graph("graph n=2\n\n0 y\n")

@@ -288,3 +288,34 @@ def test_cli_import_leaves_networkx_unloaded():
         timeout=60, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+#: Non-matroids whose listed sets pass every shape check of their kind.
+NON_MATROIDS = {
+    "elimination": "matroid circuits n=3\n110\n011\n",
+    "exchange": "matroid spanning n=4\n" + "".join(
+        f"{m:04b}"[::-1] + "\n"
+        for m in range(16)
+        if m & 0b0011 == 0b0011 or m & 0b1100 == 0b1100
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_MATROIDS))
+def test_cli_validate_rejects_non_matroids(tmp_path, capsys, name):
+    f = _write(tmp_path, f"{name}.txt", NON_MATROIDS[name])
+    assert main(["validate", f]) == 3
+    assert "FAIL matroid-exchange" in capsys.readouterr().out
+
+
+def test_cli_validate_rejects_non_matroid_without_asserts(tmp_path):
+    # under -O every assert is stripped; validate must still exit 3
+    f = _write(tmp_path, "elimination.txt", NON_MATROIDS["elimination"])
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "matroidkit.cli", "validate", f],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 3, out.stderr
+    assert "FAIL matroid-exchange" in out.stdout

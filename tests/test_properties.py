@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from matroidkit import (
     KINDS,
+    description,
     encode_from_oracle,
     parse,
     relabel,
@@ -14,7 +15,7 @@ from matroidkit import (
     uniform,
     validate,
 )
-from matroidkit.bitsets import full_mask
+from matroidkit.bitsets import full_mask, masks_of_size
 from matroidkit.tables import views_equal
 
 from conftest import corpus
@@ -100,3 +101,65 @@ def test_uniform_duality(r, n):
     if r > n:
         r, n = n, r
     assert views_equal(uniform(r, n).dual(), uniform(n - r, n))
+
+
+def _circuit_axioms_hold(circuits):
+    """Brute force: no empty circuit, an antichain, and circuit
+    elimination for every pair and every shared element."""
+    if 0 in circuits:
+        return False
+    for c1 in circuits:
+        for c2 in circuits:
+            if c1 == c2:
+                continue
+            if c1 & c2 == c1:
+                return False
+            union = c1 | c2
+            for e in range(union.bit_length()):
+                if (c1 & c2) >> e & 1 and not any(
+                    c & (union & ~(1 << e)) == c for c in circuits
+                ):
+                    return False
+    return True
+
+
+def _basis_axioms_hold(bases):
+    """Brute force: some basis, and basis exchange for every ordered
+    pair and every element of the first outside the second."""
+    if not bases:
+        return False
+    listed = set(bases)
+    for b1 in bases:
+        for b2 in bases:
+            for x in range(b1.bit_length()):
+                if (b1 & ~b2) >> x & 1 and not any(
+                    (b1 & ~(1 << x)) | (1 << y) in listed
+                    for y in range(b2.bit_length())
+                    if (b2 & ~b1) >> y & 1
+                ):
+                    return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+))
+def test_validate_matches_circuit_elimination(drawn):
+    n, sets = drawn
+    antichain = [c for c in sets if not any(o != c and o & c == o for o in sets)]
+    report = validate(description("circuits", n, antichain))
+    assert report.ok == _circuit_axioms_hold(antichain), report
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.integers(0, n).flatmap(
+        lambda k: st.tuples(st.just(n), st.sets(st.sampled_from(list(masks_of_size(n, k)))))
+    )
+))
+def test_validate_matches_basis_exchange(drawn):
+    n, bases = drawn
+    bases = sorted(bases)
+    report = validate(description("bases", n, bases))
+    assert report.ok == _basis_axioms_hold(bases), report

@@ -296,3 +296,10 @@ def test_reduce_independent_set_examples():
     desc, target = reduce_independent_set(K3, 2, 3)
     assert target == (3, 2 + 3 * 1)
     assert detect_minor_exhaustive(to_view(desc), uniform(*target)) is None
+
+
+def test_3dm_text_errors_name_the_line():
+    with pytest.raises(ValueError, match=r"^line 1: expected header '3dm s=<s>'"):
+        parse_3dm("3dm s=x\n")
+    with pytest.raises(ValueError, match=r"^line 3: expected 3 integers"):
+        parse_3dm("3dm s=1\n# comment\n0 0 z\n")
