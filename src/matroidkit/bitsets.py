@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List, Tuple
 
 #: Hard ceiling on the ground-set size.  Keeps every mask in one machine
 #: word and every ``2**n`` enumeration affordable.
@@ -88,6 +88,31 @@ def masks_of_size(n: int, k: int) -> Iterator[int]:
         yield from_elements(combo)
 
 
+def canonical_key(mask: int) -> Tuple[int, int]:
+    return mask.bit_count(), mask
+
+
+def minimal_sets(sets: Iterable[int]) -> List[int]:
+    """The inclusion-minimal members of distinct sets, in canonical order,
+    by O(k * |output|) subset tests: canonical order visits the proper
+    subsets of a set first, so a non-minimal set contains a kept one."""
+    kept: List[int] = []
+    for s in sorted(sets, key=canonical_key):
+        if not any(m & s == m for m in kept):
+            kept.append(s)
+    return kept
+
+
+def maximal_sets(sets: Iterable[int]) -> List[int]:
+    """The inclusion-maximal members of distinct sets, in canonical
+    order: :func:`minimal_sets` walked in descending order."""
+    kept: List[int] = []
+    for s in sorted(sets, key=canonical_key, reverse=True):
+        if not any(s & m == s for m in kept):
+            kept.append(s)
+    return kept[::-1]
+
+
 def format_bits(mask: int, n: int) -> str:
     """Characteristic vector as text; leftmost character is element 0.
     ``mask`` must lie within the ``n`` elements."""
@@ -97,10 +122,9 @@ def format_bits(mask: int, n: int) -> str:
 
 
 def parse_bits(text: str) -> int:
-    mask = 0
-    for j, ch in enumerate(text):
-        if ch == "1":
-            mask |= 1 << j
-        elif ch != "0":
-            raise ValueError(f"bad character {ch!r} in bitstring {text!r}")
-    return mask
+    """Inverse of :func:`format_bits`.  Only ``0`` and ``1`` pass; ``int``
+    alone would also take ``_``, a sign, spaces and non-ASCII digits."""
+    bad = text.strip("01")
+    if bad:
+        raise ValueError(f"bad character {bad[0]!r} in bitstring {text!r}")
+    return int(text[::-1] or "0", 2)

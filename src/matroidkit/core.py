@@ -19,11 +19,12 @@ import numpy as np
 
 from .bitsets import (
     CapacityError,
+    canonical_key,
     check_ground,
     check_mask,
     elements,
-    from_elements,
     full_mask,
+    minimal_sets,
 )
 
 
@@ -39,7 +40,6 @@ class MatroidView:
     __slots__ = (
         "n",
         "full",
-        "full_rank",
         "table_source",
         "name",
         "index_map",
@@ -47,6 +47,7 @@ class MatroidView:
         "_rank",
         "_memo",
         "_tables",
+        "_full_rank",
     )
 
     def __init__(
@@ -70,7 +71,14 @@ class MatroidView:
         self._rank = rank
         self._memo: dict = {}
         self._tables = None
-        self.full_rank = self.rank(self.full)
+        self._full_rank: Optional[int] = None
+
+    @property
+    def full_rank(self) -> int:
+        """r(E), computed by the greedy queries on first use."""
+        if self._full_rank is None:
+            self._full_rank = self.rank(self.full)
+        return self._full_rank
 
     def __repr__(self):
         label = self.name or "matroid"
@@ -271,12 +279,7 @@ def minor_circuits(
     work = list(dict.fromkeys(circuits))
     for e in elements(x):
         bit = 1 << e
-        stripped = sorted({c & ~bit for c in work if c & ~bit}, key=lambda c: (c.bit_count(), c))
-        minimal = []
-        for c in stripped:
-            if not any(m != c and m & c == m for m in stripped):
-                minimal.append(c)
-        work = minimal
+        work = minimal_sets({c & ~bit for c in work if c & ~bit})
     work = [c for c in work if not c & y]
     keep = tuple(e for e in range(n) if not (x | y) >> e & 1)
     pos = {old: i for i, old in enumerate(keep)}
@@ -287,5 +290,5 @@ def minor_circuits(
             m |= 1 << pos[e]
         return m
 
-    out = sorted({compress(c) for c in work}, key=lambda c: (c.bit_count(), c))
+    out = sorted({compress(c) for c in work}, key=canonical_key)
     return tuple(out), keep

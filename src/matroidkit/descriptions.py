@@ -25,7 +25,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tables
-from .bitsets import check_ground, check_mask, format_bits, full_mask, parse_bits
+from .bitsets import canonical_key, check_ground, check_mask, format_bits, full_mask
+from .bitsets import minimal_sets, parse_bits
 from .core import MatroidView
 
 KINDS = (
@@ -109,7 +110,7 @@ def description(
             f"rank table lists {len(sets)} subsets, expected {1 << n}"
         )
 
-    order = sorted(range(len(sets)), key=lambda i: (sets[i].bit_count(), sets[i]))
+    order = sorted(range(len(sets)), key=lambda i: canonical_key(sets[i]))
     canon_sets = tuple(sets[i] for i in order)
     canon_ranks = tuple(set_ranks[i] for i in order) if set_ranks is not None else None
     return Description(kind, n, canon_sets, canon_ranks, r)
@@ -158,6 +159,7 @@ def parse(text) -> Description:
     header = None
     kind = n = r = None
     sets: List[int] = []
+    seen = set()
     ranks: List[int] = []
     for lineno, line in content_lines(text):
         if header is None:
@@ -192,8 +194,9 @@ def parse(text) -> Description:
             mask = parse_bits(bits)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        if mask in sets:
+        if mask in seen:
             raise ParseError(f"duplicate set {bits}", lineno)
+        seen.add(mask)
         if kind in PER_SET_RANK_KINDS:
             if not sep:
                 raise ParseError(f"kind {kind!r} requires '<bits>:<rank>' lines", lineno)
@@ -239,25 +242,16 @@ def size_of(desc: Description) -> SizeMeasure:
 # -- decoding ------------------------------------------------------------
 
 
-def _minimal(sets: Sequence[int]) -> List[int]:
-    return [c for c in sets if not any(o != c and o & c == o for o in sets)]
-
-
-def _subset_of_some(a: int, family: Sequence[int]) -> bool:
-    return any(a & b == a for b in family)
-
-
-def _contains_some(a: int, family: Sequence[int]) -> bool:
-    return any(a & c == c for c in family)
-
-
 def _flat_heights(flat_list: Sequence[int]) -> Dict[int, int]:
-    # longest chain below each flat; equals its rank in a matroid lattice
-    heights: Dict[int, int] = {}
-    for f in sorted(flat_list, key=lambda m: (m.bit_count(), m)):
-        below = [heights[g] for g in heights if g != f and g & f == g]
-        heights[f] = 1 + max(below) if below else 0
-    return heights
+    """The longest chain below each flat (its rank in a matroid lattice),
+    by one vector pass per flat over the flats before it canonically."""
+    order = sorted(flat_list, key=canonical_key)
+    masks = np.array(order, dtype=np.int64)
+    heights = np.zeros(len(order), dtype=np.int64)
+    for i, f in enumerate(order):
+        earlier = masks[:i]
+        heights[i] = np.max(heights[:i], where=earlier & f == earlier, initial=-1) + 1
+    return dict(zip(order, heights.tolist()))
 
 
 def _unlisted_intersection(n: int, closed: int) -> ValueError:
@@ -370,20 +364,18 @@ def to_view(desc: Description) -> MatroidView:
     if kind in ("spanning", "bases"):
         if not desc.sets:
             raise ValueError(f"{kind} description lists no sets")
-        bases = _minimal(desc.sets) if kind == "spanning" else list(desc.sets)
+        bases = minimal_sets(desc.sets) if kind == "spanning" else list(desc.sets)
         return MatroidView(
             n,
-            indep=lambda a: _subset_of_some(a, bases),
+            indep=lambda a: any(a & b == a for b in bases),
             table_source=source,
             name=name,
         )
 
     if kind == "flats":
-        flat_list = list(desc.sets)
-
         def flat_rank(a: int) -> int:
             closed = full
-            for f in flat_list:
+            for f in desc.sets:
                 if a & f == a:
                     closed &= f
             if closed not in heights:
@@ -392,43 +384,28 @@ def to_view(desc: Description) -> MatroidView:
 
         return MatroidView(n, rank=flat_rank, table_source=source, name=name)
 
-    if kind == "circuits":
-        circuits = list(desc.sets)
+    if kind in ("circuits", "nsc"):
+        r = n if kind == "circuits" else desc.r
         return MatroidView(
             n,
-            indep=lambda a: not _contains_some(a, circuits),
-            table_source=source,
-            name=name,
-        )
-
-    if kind == "nsc":
-        circuits = list(desc.sets)
-        r = desc.r
-        return MatroidView(
-            n,
-            indep=lambda a: a.bit_count() <= r and not _contains_some(a, circuits),
+            indep=lambda a: a.bit_count() <= r
+            and not any(a & c == c for c in desc.sets),
             table_source=source,
             name=name,
         )
 
     if kind in ("hyperplanes", "dephyp"):
         dual_circuits = [full & ~h for h in desc.sets]
-        if kind == "hyperplanes":
-            dual = MatroidView(
-                n, indep=lambda a: not _contains_some(a, dual_circuits)
-            )
-        else:
-            dual_r = n - desc.r
-            dual = MatroidView(
-                n,
-                indep=lambda a: a.bit_count() <= dual_r
-                and not _contains_some(a, dual_circuits),
-            )
-        dual_rank = dual.full_rank
+        dual_r = n if kind == "hyperplanes" else n - desc.r
+        dual = MatroidView(
+            n,
+            indep=lambda a: a.bit_count() <= dual_r
+            and not any(a & c == c for c in dual_circuits),
+        )
 
         def indep(a: int) -> bool:
             # A is independent iff E - A spans the dual
-            return dual.rank(full & ~a) == dual_rank
+            return dual.rank(full & ~a) == dual.full_rank
 
         return MatroidView(n, indep=indep, table_source=source, name=name)
 
@@ -450,12 +427,10 @@ def encode_from_oracle(view: MatroidView, kind: str) -> Description:
     subset against the kind's defining predicate."""
     if kind not in KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
-    masks = tables.family_masks(view, "independent" if kind == "rank" else kind)
     if kind == "rank":
         rank = tables.rank_table(view)
-        all_masks = list(range(1 << view.n))
-        all_masks.sort(key=lambda m: (m.bit_count(), m))
-        return description(kind, view.n, all_masks, [int(rank[m]) for m in all_masks])
+        return description(kind, view.n, range(1 << view.n), rank.tolist())
+    masks = tables.family_masks(view, kind)
     if kind == "cyclicflats":
         rank = tables.rank_table(view)
         return description(kind, view.n, masks, [int(rank[m]) for m in masks])

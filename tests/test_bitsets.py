@@ -98,3 +98,14 @@ def test_format_orientation():
 def test_parse_bits_rejects_garbage():
     with pytest.raises(ValueError):
         parse_bits("10x")
+
+
+# int(text, 2) accepts the first three: an underscore separator, a sign
+# and the Arabic-Indic digit one
+@pytest.mark.parametrize(
+    "text, bad", [("1_0", "_"), ("+1", "+"), ("1\u0661", "\u0661"), ("1 0", " ")]
+)
+def test_parse_bits_accepts_only_zeros_and_ones(text, bad):
+    with pytest.raises(ValueError) as err:
+        parse_bits(text)
+    assert str(err.value) == f"bad character {bad!r} in bitstring {text!r}"

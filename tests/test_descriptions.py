@@ -13,6 +13,7 @@ from matroidkit import (
     uniform,
     validate,
 )
+from matroidkit.bitsets import format_bits
 from matroidkit.tables import views_equal
 
 from conftest import corpus_params
@@ -88,6 +89,13 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 3
     with pytest.raises(ParseError):
         parse("")
+
+
+def test_parse_reports_a_distant_duplicate_at_its_second_line():
+    lines = [format_bits(m, 6) for m in range(38)] + [format_bits(0, 6)]
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(["matroid independent n=6"] + lines) + "\n")
+    assert str(err.value) == "line 40: duplicate set 000000"
 
 
 @pytest.mark.parametrize("view", corpus_params())

@@ -15,7 +15,9 @@ from matroidkit import (
     uniform,
     validate,
 )
-from matroidkit.bitsets import full_mask, masks_of_size
+from matroidkit.bitsets import full_mask, masks_of_size, maximal_sets, minimal_sets
+from matroidkit.conversions import convert_edge
+from matroidkit.descriptions import _flat_heights
 from matroidkit.tables import views_equal
 
 from conftest import corpus
@@ -163,3 +165,60 @@ def test_validate_matches_basis_exchange(drawn):
     bases = sorted(bases)
     report = validate(description("bases", n, bases))
     assert report.ok == _basis_axioms_hold(bases), report
+
+
+# -- extremal-set filters: exact on any family, matroid or not -----------
+
+
+distinct_families = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=40)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_families)
+def test_extremal_sets_match_pairwise_definition(drawn):
+    _, sets = drawn
+    canon = sorted(sets, key=lambda m: (m.bit_count(), m))
+    assert minimal_sets(sets) == [s for s in canon if not any(o != s and o & s == o for o in sets)]
+    assert maximal_sets(sets) == [s for s in canon if not any(o != s and s & o == s for o in sets)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_families)
+def test_extremal_edges_match_all_pairs_scan(drawn):
+    # oracle: each edge's all-pairs definition, one any(...) scan per set
+    n, sets = drawn
+    full = full_mask(n)
+    spanning = description("spanning", n, sets)
+    keep = [s for s in spanning.sets if not any(o != s and o & s == o for o in spanning.sets)]
+    assert convert_edge(spanning, "bases") == description("bases", n, keep)
+    independent = description("independent", n, sets)
+    keep = [s for s in independent.sets if not any(o != s and o & s == s for o in independent.sets)]
+    assert convert_edge(independent, "bases") == description("bases", n, keep)
+    flats = description("flats", n, sets)
+    keep = [
+        f
+        for f in flats.sets
+        if f != full and not any(o != f and o != full and f & o == f for o in flats.sets)
+    ]
+    assert convert_edge(flats, "hyperplanes") == description("hyperplanes", n, keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_families)
+def test_flat_heights_are_longest_chains(drawn):
+    _, sets = drawn
+    memo = {}
+
+    def longest_chain_below(f):
+        if f not in memo:
+            memo[f] = max(
+                (1 + longest_chain_below(g) for g in sets if g != f and g & f == g),
+                default=0,
+            )
+        return memo[f]
+
+    assert _flat_heights(sets) == {f: longest_chain_below(f) for f in sets}
