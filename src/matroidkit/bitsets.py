@@ -92,13 +92,21 @@ def canonical_key(mask: int) -> Tuple[int, int]:
     return mask.bit_count(), mask
 
 
+def canonical_order(sets: Iterable[int], reverse: bool = False) -> List[int]:
+    """``sorted(sets, key=canonical_key)`` by two stable C-keyed sorts."""
+    return sorted(sorted(sets, reverse=reverse), key=int.bit_count, reverse=reverse)
+
+
 def minimal_sets(sets: Iterable[int]) -> List[int]:
     """The inclusion-minimal members of distinct sets, in canonical order,
     by O(k * |output|) subset tests: canonical order visits the proper
     subsets of a set first, so a non-minimal set contains a kept one."""
     kept: List[int] = []
-    for s in sorted(sets, key=canonical_key):
-        if not any(m & s == m for m in kept):
+    for s in canonical_order(sets):
+        for m in kept:
+            if m & s == m:
+                break
+        else:
             kept.append(s)
     return kept
 
@@ -107,8 +115,11 @@ def maximal_sets(sets: Iterable[int]) -> List[int]:
     """The inclusion-maximal members of distinct sets, in canonical
     order: :func:`minimal_sets` walked in descending order."""
     kept: List[int] = []
-    for s in sorted(sets, key=canonical_key, reverse=True):
-        if not any(s & m == s for m in kept):
+    for s in canonical_order(sets, reverse=True):
+        for m in kept:
+            if s & m == s:
+                break
+        else:
             kept.append(s)
     return kept[::-1]
 

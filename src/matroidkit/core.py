@@ -13,13 +13,13 @@ vectorised subset transforms, which the exhaustive layer in
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bitsets import (
     CapacityError,
-    canonical_key,
+    canonical_order,
     check_ground,
     check_mask,
     elements,
@@ -168,13 +168,23 @@ class MatroidView:
         return self.minor(x, 0)
 
     def truncate(self, target_rank: int) -> "MatroidView":
+        """Truncation to ``target_rank``: r(A) capped at the target.  Its
+        table keeps the parent's independent sets of at most that size."""
         if not 0 <= target_rank <= self.full_rank:
             raise ValueError(
                 f"truncation rank {target_rank} outside [0, {self.full_rank}]"
             )
+
+        def table() -> np.ndarray:
+            from . import tables  # tables builds on this module
+
+            within = tables.popcounts(self.n) <= target_rank
+            return tables.independence_table(self) & within
+
         return MatroidView(
             self.n,
             rank=lambda a: min(self.rank(a), target_rank),
+            table_source=table,
             name=f"T({self.name})" if self.name else None,
         )
 
@@ -264,25 +274,24 @@ def relabel(view: MatroidView, perm: Sequence[int]) -> MatroidView:
     return MatroidView(view.n, rank=lambda a: view.rank(back(a)), name=view.name)
 
 
-def minor_circuits(
-    circuits: Sequence[int], n: int, x: int, y: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Circuit-rule minor: contract ``x`` element by element (circuits of
-    M/e are the minimal nonempty members of {C - e}), then delete ``y``
-    (keep circuits avoiding it).  Returns the re-indexed circuit masks
-    and the index map of surviving elements.
-    """
-    check_mask(x, n)
-    check_mask(y, n)
-    if x & y:
-        raise ValueError("contracted and deleted sets overlap")
+def contract_circuits(circuits: Sequence[int], x: int) -> List[int]:
+    """Circuits of M / x, in the original numbering: contract ``x``
+    element by element (circuits of M/e are the minimal nonempty members
+    of {C - e})."""
     work = list(dict.fromkeys(circuits))
     for e in elements(x):
         bit = 1 << e
         work = minimal_sets({c & ~bit for c in work if c & ~bit})
-    work = [c for c in work if not c & y]
-    keep = tuple(e for e in range(n) if not (x | y) >> e & 1)
+    return work
+
+
+def restrict_circuits(
+    circuits: Sequence[int], keep: Sequence[int]
+) -> Tuple[int, ...]:
+    """The circuits inside the ascending elements ``keep``, re-indexed so
+    that ``keep[i]`` becomes element ``i``, in canonical order."""
     pos = {old: i for i, old in enumerate(keep)}
+    inside = sum(1 << e for e in keep)
 
     def compress(c: int) -> int:
         m = 0
@@ -290,5 +299,19 @@ def minor_circuits(
             m |= 1 << pos[e]
         return m
 
-    out = sorted({compress(c) for c in work}, key=canonical_key)
-    return tuple(out), keep
+    return tuple(canonical_order({compress(c) for c in circuits if c & inside == c}))
+
+
+def minor_circuits(
+    circuits: Sequence[int], n: int, x: int, y: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Circuit-rule minor: contract ``x`` (:func:`contract_circuits`),
+    then delete ``y`` (keep circuits avoiding it).  Returns the
+    re-indexed circuit masks and the index map of surviving elements.
+    """
+    check_mask(x, n)
+    check_mask(y, n)
+    if x & y:
+        raise ValueError("contracted and deleted sets overlap")
+    keep = tuple(e for e in range(n) if not (x | y) >> e & 1)
+    return restrict_circuits(contract_circuits(circuits, x), keep), keep

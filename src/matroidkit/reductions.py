@@ -10,14 +10,15 @@ verify answers independently of the search that produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tables
-from .bitsets import elements, from_elements, full_mask, submasks
-from .core import MatroidView, minor_circuits
+from .bitsets import elements, from_elements, full_mask, maximal_sets
+from .core import MatroidView, contract_circuits, restrict_circuits
 from .descriptions import Description, description, encode_from_oracle, int_records, to_view
 from .families import MultiGraph, phi, phi_r, subdivision_length
 
@@ -145,18 +146,21 @@ def verify_minor_witness(
 
 
 def _distinct_unions(circuits: Sequence[int], t: int) -> List[int]:
-    """Distinct unions of exactly ``t`` of the listed circuits.
+    """Distinct unions of exactly ``t`` of the listed circuits, ascending.
 
-    Dynamic programme over the circuit list instead of materialising all
-    C(c, t) combinations; the value set is capped by 2**n so this stays
-    small even when the combination count explodes.
+    Dynamic programme over the circuit list on boolean tables over the
+    ``2**n`` masks: after the first j circuits, level k marks the unions
+    of exactly k of them.  Each circuit costs one numpy pass per level,
+    however many of the C(c, t) combinations share a union.
     """
-    levels: List[set] = [{0}] + [set() for _ in range(t)]
-    for c in circuits:
-        for k in range(min(t, len(levels) - 1), 0, -1):
-            if levels[k - 1]:
-                levels[k].update(u | c for u in levels[k - 1])
-    return sorted(levels[t])
+    if t > len(circuits):
+        return []
+    levels = np.zeros((t + 1, 1 << max(circuits, default=0).bit_length()), dtype=bool)
+    levels[0, 0] = True
+    for j, c in enumerate(circuits):
+        for k in range(min(t, j + 1), 0, -1):
+            levels[k, np.flatnonzero(levels[k - 1]) | c] = True
+    return np.flatnonzero(levels[t]).tolist()
 
 
 def detect_minor_fixed(
@@ -165,11 +169,20 @@ def detect_minor_fixed(
     """Fixed-pattern minor detection on a circuits or hyperplanes
     description.
 
-    Searches size-|N| element subsets combined with unions of t host
-    circuits (t = number of pattern circuits); the minor itself is built
-    by the circuit contraction/deletion rules.  Hyperplane hosts are
-    handled by dualising both matroids.  A host rank table is memoised
-    as a desk-scale accelerator for the rank prefilter.
+    Searches size-|N| element subsets A combined with unions of t host
+    circuits (t = number of pattern circuits); the contract set is the
+    part x of a union outside A.  The minor itself is built by the
+    circuit contraction/deletion rules.  Hyperplane hosts are handled by
+    dualising both matroids.  A host rank table is memoised as a
+    desk-scale accelerator for the rank prefilter.
+
+    Cost: the unions take one pass over a ``2**n`` boolean table per
+    circuit and level; each A takes one numpy pass over the unions.  The
+    contracted circuit list is memoised per x, so each distinct x pays
+    for its contraction once and each (A, x) pair that passes the rank
+    prefilter only for the deletion and renumbering.  A minor whose
+    circuit sizes differ from the pattern's is dropped before any table
+    is built.
     """
     if host.kind == "hyperplanes":
         full = full_mask(host.n)
@@ -208,61 +221,105 @@ def detect_minor_fixed(
     host_circuits = list(host.sets)
     if len(host_circuits) < t:
         return None
-    unions = _distinct_unions(host_circuits, t)
+    unions = np.array(_distinct_unions(host_circuits, t), dtype=np.int64)
+    pattern_sizes = [c.bit_count() for c in pattern_circuits]
     pattern_sig = tables.rank_signature(pattern)
+    contracted: Dict[int, List[int]] = {}
 
     for combo in combinations(range(n), s):
         amask = from_elements(combo)
-        seen = set()
-        for u in unions:
-            x = u & ~amask
-            if x in seen:
+        outside = unions & ~amask
+        _, first = np.unique(outside, return_index=True)
+        xs = outside[np.sort(first)]  # distinct, in order of first occurrence
+        for x in xs[rt[amask | xs] - rt[xs] == pr].tolist():
+            if x not in contracted:
+                contracted[x] = contract_circuits(host_circuits, x)
+            circ = restrict_circuits(contracted[x], combo)
+            # isomorphic matroids have the same circuit sizes: no table needed
+            if [c.bit_count() for c in circ] != pattern_sizes:
                 continue
-            seen.add(x)
-            y = full & ~amask & ~x
-            if int(rt[amask | x]) - int(rt[x]) != pr:
-                continue
-            circ, _ = minor_circuits(host_circuits, n, x, y)
             minor_view = to_view(description("circuits", s, circ))
             if tables.rank_signature(minor_view) != pattern_sig:
                 continue
             sigma = isomorphic(minor_view, pattern)
             if sigma is not None:
-                return MinorWitness(x=x, y=y, iso=sigma)
+                return MinorWitness(x=x, y=full & ~amask & ~x, iso=sigma)
     return None
+
+
+#: Rows of candidate minor rank tables gathered at once, times 2**|N|.
+_MINOR_CELLS = 1 << 20
+
+
+#: Up to this many elements, subsets are listed by one product with a
+#: cached 0/1 matrix (at most 2**12 x 12 entries); past it, by doubling.
+_SPREAD_BITS = 12
+
+
+@lru_cache(maxsize=None)
+def _index_bits(k: int) -> np.ndarray:
+    """The 0/1 bits of every index below ``2**k``, one row per index;
+    shared, so read-only."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.int64)
+    bits.flags.writeable = False
+    return bits
+
+
+def _ascending_subsets(elems: Sequence[int]) -> np.ndarray:
+    """Every subset of the ascending elements ``elems`` as a mask, in
+    ascending order: subset i takes element j iff bit j of i is set."""
+    bits = [1 << e for e in elems]
+    if len(bits) > _SPREAD_BITS:
+        return tables.image_table(len(bits), bits)
+    return _index_bits(len(bits)) @ np.array(bits, dtype=np.int64)
 
 
 def detect_minor_exhaustive(
     host: MatroidView, pattern: MatroidView
 ) -> Optional[MinorWitness]:
     """Brute force over all disjoint (contract, delete) pairs; the
-    correctness oracle for :func:`detect_minor_fixed`."""
+    correctness oracle for :func:`detect_minor_fixed`.
+
+    For each set A of |N| kept elements, in combinations order, the
+    contract sets x run over the subsets of E - A in ascending order.
+    numpy passes keep the x with r(A + x) - r(x) = r(N), gather the
+    minors' rank tables r(S + x) - r(x) as rows, and compare each row's
+    (size, rank) histogram with the pattern's; only rows that match
+    reach :func:`isomorphic`.  The first witness is the one the
+    per-x loop in that order would find.  Cost: C(n, |N|) * 2**n table
+    cells in numpy, gathered at most ``_MINOR_CELLS`` at a time.
+    """
     s = pattern.n
     if s > host.n:
         return None
     rt = tables.rank_table(host)
     pr = pattern.full_rank
-    pattern_sig = tables.rank_signature(pattern)
+    width = s + 1
+    pattern_sig = np.array(tables.rank_signature(pattern))
+    # histogram bin of (size, rank) is size * width + rank
+    size_bins = tables.popcounts(s).astype(np.int64) * width
     full = full_mask(host.n)
+    chunk = max(1, _MINOR_CELLS >> s)
 
     for combo in combinations(range(host.n), s):
         amask = from_elements(combo)
-        expand = np.zeros(1 << s, dtype=np.int64)
-        for m in range(1, 1 << s):
-            low = m & -m
-            expand[m] = expand[m ^ low] | (1 << combo[low.bit_length() - 1])
         rest = full & ~amask
-        for x in submasks(rest):
-            rx = int(rt[x])
-            if int(rt[amask | x]) - rx != pr:
-                continue
-            minor_rt = rt[expand | x].astype(np.int8) - np.int8(rx)
-            minor_view = tables.table_view(s, minor_rt)
-            if tables.rank_signature(minor_view) != pattern_sig:
-                continue
-            sigma = isomorphic(minor_view, pattern)
-            if sigma is not None:
-                return MinorWitness(x=x, y=rest & ~x, iso=sigma)
+        xs = _ascending_subsets(list(elements(rest)))
+        xs = xs[rt[amask | xs] - rt[xs] == pr]
+        if not len(xs):
+            continue
+        expand = _ascending_subsets(combo)
+        for lo in range(0, len(xs), chunk):
+            part = xs[lo : lo + chunk]
+            rows = rt[expand[None, :] | part[:, None]] - rt[part, None]
+            bins = np.arange(len(part))[:, None] * width * width + size_bins + rows
+            hist = np.bincount(bins.ravel(), minlength=len(part) * width * width)
+            matches = (hist.reshape(len(part), -1) == pattern_sig).all(axis=1)
+            for i in np.flatnonzero(matches).tolist():
+                sigma = isomorphic(tables.table_view(s, rows[i]), pattern)
+                if sigma is not None:
+                    x = int(part[i])
+                    return MinorWitness(x=x, y=rest & ~x, iso=sigma)
     return None
 
 
@@ -350,7 +407,9 @@ def intersect3_bruteforce(
     """First k-subset independent in all three matroids, or None."""
     if not m1.n == m2.n == m3.n:
         raise ValueError("matroids do not share a ground set")
-    if not 0 <= k <= m1.n:
+    if k < 0:
+        raise ValueError(f"negative target size {k}")
+    if k > m1.n:
         return None
     for combo in combinations(range(m1.n), k):
         a = from_elements(combo)
@@ -359,24 +418,49 @@ def intersect3_bruteforce(
     return None
 
 
+#: Below this many pairs of bases, Python sets cost less than numpy calls.
+_NUMPY_PAIRS = 1 << 10
+
+
 def intersect3_bases(
     d1: Description, d2: Description, d3: Description, k: int
 ) -> Optional[int]:
     """Polynomial route for bases input: the largest common independent
-    set is the largest intersection over all triples of bases."""
+    set is the largest intersection B1 & B2 & B3 over triples of bases.
+
+    Output-sensitive: every pairwise intersection B1 & B2 lies inside a
+    maximal one, so only the maximal pairwise intersections S12 meet the
+    third list.  Cost k1*k2 + |S12|*k3 set operations instead of
+    k1*k2*k3; past ``_NUMPY_PAIRS`` pairs both steps run in numpy.
+    Returns the first largest s & B3, with S12 in canonical order and
+    the third list in its own, if it has at least k elements.
+    """
     for d in (d1, d2, d3):
         if d.kind != "bases":
             raise ValueError(f"expected bases descriptions, got {d.kind!r}")
     if not d1.n == d2.n == d3.n:
         raise ValueError("matroids do not share a ground set")
-    best = None
-    for b1, b2, b3 in product(d1.sets, d2.sets, d3.sets):
-        common = b1 & b2 & b3
-        if best is None or common.bit_count() > best.bit_count():
-            best = common
-    if best is not None and best.bit_count() >= k:
-        return best
-    return None
+    if k < 0:
+        raise ValueError(f"negative target size {k}")
+    third = d3.sets
+    if not third:
+        return None
+    if len(d1.sets) * len(d2.sets) < _NUMPY_PAIRS:
+        pairs = {b1 & b2 for b1 in d1.sets for b2 in d2.sets}
+        meets = [s & b3 for s in maximal_sets(pairs) for b3 in third]
+    else:
+        # a table over the masks drops repeated pairs in 2**n bytes
+        seen = np.zeros(1 << d1.n, dtype=bool)
+        second = np.array(d2.sets, dtype=np.int64)
+        for b1 in d1.sets:
+            seen[second & b1] = True
+        listed = np.array(third, dtype=np.int64)
+        meets = [
+            s & third[int(np.argmax(np.bitwise_count(s & listed)))]
+            for s in maximal_sets(np.flatnonzero(seen).tolist())
+        ]
+    best = max(meets, key=int.bit_count, default=None)
+    return best if best is not None and best.bit_count() >= k else None
 
 
 # -- 3-dimensional matching ----------------------------------------------

@@ -13,18 +13,22 @@ table source falls back to one ``is_independent`` query per mask.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import MatroidView
 
 
+@lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
-    """Bit-count of every mask below ``2**n``."""
+    """Bit-count of every mask below ``2**n``; one read-only array per
+    ``n``, shared by every caller."""
     pc = np.zeros(1 << n, dtype=np.int8)
     for b in range(n):
         pc[1 << b : 1 << (b + 1)] = pc[: 1 << b] + 1
+    pc.flags.writeable = False
     return pc
 
 
@@ -40,6 +44,17 @@ def indicator(n: int, sets) -> np.ndarray:
     """Boolean table that is true exactly on the listed masks."""
     out = np.zeros(1 << n, dtype=bool)
     out[np.fromiter(sets, dtype=np.int64)] = True
+    return out
+
+
+def image_table(n: int, images: Sequence[int]) -> np.ndarray:
+    """The OR of ``images[e]`` over the elements e of every mask below
+    ``2**n``, by doubling: one pass per element over :func:`halves`.
+    Images must fit in 63 bits."""
+    out = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        without, with_b = halves(out, b)
+        np.bitwise_or(without, images[b], out=with_b)
     return out
 
 

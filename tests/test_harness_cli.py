@@ -197,6 +197,16 @@ def test_cli_intersect3(tmp_path, capsys):
     assert main(["intersect3", f, f, f, "-k", "2", "--strict"]) == 1
 
 
+@pytest.mark.parametrize("algorithm", ["bases", "exhaustive"])
+def test_cli_intersect3_negative_target_is_an_input_error(tmp_path, capsys, algorithm):
+    f = str(tmp_path / "m.txt")
+    main(["gen", "uniform", "1", "2", "--as", "bases", "--out", f])
+    assert main(["intersect3", f, f, f, "-k", "-1", "--algorithm", algorithm]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: negative target size -1\n"
+
+
 def test_cli_reduce_3dm(tmp_path, capsys):
     f = _write(tmp_path, "ts.txt", "3dm s=2\n0 0 0\n1 1 1\n0 1 1\n")
     prefix = str(tmp_path / "out")

@@ -179,6 +179,15 @@ def test_intersect3_trivial_cases():
         intersect3_bruteforce(u12, u12, uniform(1, 3), 1)
 
 
+def test_intersect3_rejects_a_negative_target_on_both_routes():
+    u12 = uniform(1, 2)
+    bases = encode_from_oracle(u12, "bases")
+    with pytest.raises(ValueError, match="negative target size -1"):
+        intersect3_bruteforce(u12, u12, u12, -1)
+    with pytest.raises(ValueError, match="negative target size -1"):
+        intersect3_bases(bases, bases, bases, -1)
+
+
 def test_intersect3_bases_requires_bases_kind():
     bases = encode_from_oracle(uniform(1, 2), "bases")
     circuits = encode_from_oracle(uniform(1, 2), "circuits")

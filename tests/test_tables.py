@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidkit import KINDS, description, encode_from_oracle, to_view, uniform
+from matroidkit import (
+    KINDS,
+    bicircular,
+    description,
+    encode_from_oracle,
+    multigraph,
+    to_view,
+    uniform,
+)
 from matroidkit.bitsets import elements, full_mask, submasks
 from matroidkit.tables import (
     classify,
@@ -18,12 +26,21 @@ from matroidkit.tables import (
     views_equal,
 )
 
-from conftest import corpus_params
+from conftest import corpus, corpus_params
 
 
 def test_popcounts():
     pc = popcounts(4)
     assert [int(pc[m]) for m in (0, 1, 0b11, 0b1111)] == [0, 1, 2, 4]
+
+
+def test_popcounts_is_one_read_only_array_per_n():
+    pc = popcounts(5)
+    assert popcounts(5) is pc
+    assert not pc.flags.writeable
+    with pytest.raises(ValueError):
+        pc[3] = 0
+    assert pc.tolist() == [m.bit_count() for m in range(32)]
 
 
 @pytest.mark.parametrize("view", corpus_params())
@@ -129,7 +146,10 @@ def _predicate_tables(view):
 
 
 def _assert_engine_matches(desc):
-    view = to_view(desc)
+    _assert_source_matches(to_view(desc))
+
+
+def _assert_source_matches(view):
     assert view.table_source is not None
     want_indep, want_rank = _predicate_tables(view)
     np.testing.assert_array_equal(independence_table(view), want_indep)
@@ -164,3 +184,34 @@ def antichain_descriptions(draw):
 @given(antichain_descriptions())
 def test_engine_matches_predicate_path_on_antichains(desc):
     _assert_engine_matches(desc)
+
+
+# -- construction table sources against the per-mask predicate path -------
+
+
+@pytest.mark.parametrize("name", ["B(K3+loop)", "B(theta)", "T2(U(3,5))"])
+def test_construction_engine_matches_predicate_path(name):
+    _assert_source_matches(corpus()[name])
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs with loops and parallel edges, v <= 5, m <= 9."""
+    v = draw(st.integers(1, 5))
+    ends = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1))
+    return multigraph(v, draw(st.lists(ends, max_size=9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.data())
+def test_bicircular_engine_matches_predicate_path(g, data):
+    view = bicircular(g)
+    _assert_source_matches(view)
+    _assert_source_matches(view.truncate(data.draw(st.integers(0, view.full_rank))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(corpus())), st.data())
+def test_truncation_engine_matches_predicate_path(name, data):
+    view = corpus()[name]
+    _assert_source_matches(view.truncate(data.draw(st.integers(0, view.full_rank))))
