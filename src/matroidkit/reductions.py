@@ -10,7 +10,6 @@ verify answers independently of the search that produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -151,7 +150,8 @@ def _distinct_unions(circuits: Sequence[int], t: int) -> List[int]:
     Dynamic programme over the circuit list on boolean tables over the
     ``2**n`` masks: after the first j circuits, level k marks the unions
     of exactly k of them.  Each circuit costs one numpy pass per level,
-    however many of the C(c, t) combinations share a union.
+    however many of the C(c, t) combinations share a union: c * t passes
+    over ``2**n`` masks, in (t + 1) * 2**n bytes, however few the unions.
     """
     if t > len(circuits):
         return []
@@ -247,31 +247,8 @@ def detect_minor_fixed(
     return None
 
 
-#: Rows of candidate minor rank tables gathered at once, times 2**|N|.
+#: Contract sets, or cells of candidate minor rank tables, handled at once.
 _MINOR_CELLS = 1 << 20
-
-
-#: Up to this many elements, subsets are listed by one product with a
-#: cached 0/1 matrix (at most 2**12 x 12 entries); past it, by doubling.
-_SPREAD_BITS = 12
-
-
-@lru_cache(maxsize=None)
-def _index_bits(k: int) -> np.ndarray:
-    """The 0/1 bits of every index below ``2**k``, one row per index;
-    shared, so read-only."""
-    bits = (np.arange(1 << k)[:, None] >> np.arange(k) & 1).astype(np.int64)
-    bits.flags.writeable = False
-    return bits
-
-
-def _ascending_subsets(elems: Sequence[int]) -> np.ndarray:
-    """Every subset of the ascending elements ``elems`` as a mask, in
-    ascending order: subset i takes element j iff bit j of i is set."""
-    bits = [1 << e for e in elems]
-    if len(bits) > _SPREAD_BITS:
-        return tables.image_table(len(bits), bits)
-    return _index_bits(len(bits)) @ np.array(bits, dtype=np.int64)
 
 
 def detect_minor_exhaustive(
@@ -287,7 +264,9 @@ def detect_minor_exhaustive(
     (size, rank) histogram with the pattern's; only rows that match
     reach :func:`isomorphic`.  The first witness is the one the
     per-x loop in that order would find.  Cost: C(n, |N|) * 2**n table
-    cells in numpy, gathered at most ``_MINOR_CELLS`` at a time.
+    cells in numpy.  Memory: besides the rank table, a few int64 arrays
+    of at most ``_MINOR_CELLS`` entries, as the x and the rows are
+    walked in blocks of that size.
     """
     s = pattern.n
     if s > host.n:
@@ -300,26 +279,33 @@ def detect_minor_exhaustive(
     size_bins = tables.popcounts(s).astype(np.int64) * width
     full = full_mask(host.n)
     chunk = max(1, _MINOR_CELLS >> s)
+    low_count = _MINOR_CELLS.bit_length() - 1
 
     for combo in combinations(range(host.n), s):
         amask = from_elements(combo)
         rest = full & ~amask
-        xs = _ascending_subsets(list(elements(rest)))
-        xs = xs[rt[amask | xs] - rt[xs] == pr]
-        if not len(xs):
-            continue
-        expand = _ascending_subsets(combo)
-        for lo in range(0, len(xs), chunk):
-            part = xs[lo : lo + chunk]
-            rows = rt[expand[None, :] | part[:, None]] - rt[part, None]
-            bins = np.arange(len(part))[:, None] * width * width + size_bins + rows
-            hist = np.bincount(bins.ravel(), minlength=len(part) * width * width)
-            matches = (hist.reshape(len(part), -1) == pattern_sig).all(axis=1)
-            for i in np.flatnonzero(matches).tolist():
-                sigma = isomorphic(tables.table_view(s, rows[i]), pattern)
-                if sigma is not None:
-                    x = int(part[i])
-                    return MinorWitness(x=x, y=rest & ~x, iso=sigma)
+        bits = [1 << e for e in elements(rest)]
+        # x = high | low lists the subsets of E - A in ascending order,
+        # one block of low subsets per high subset
+        low_bits, high_bits = bits[:low_count], bits[low_count:]
+        low = tables.image_table(len(low_bits), low_bits)
+        for high in tables.image_table(len(high_bits), high_bits).tolist():
+            xs = low | high
+            xs = xs[rt[amask | xs] - rt[xs] == pr]
+            if not len(xs):
+                continue
+            expand = tables.image_table(s, [1 << e for e in combo])
+            for lo in range(0, len(xs), chunk):
+                part = xs[lo : lo + chunk]
+                rows = rt[expand[None, :] | part[:, None]] - rt[part, None]
+                bins = np.arange(len(part))[:, None] * width * width + size_bins + rows
+                hist = np.bincount(bins.ravel(), minlength=len(part) * width * width)
+                matches = (hist.reshape(len(part), -1) == pattern_sig).all(axis=1)
+                for i in np.flatnonzero(matches).tolist():
+                    sigma = isomorphic(tables.table_view(s, rows[i]), pattern)
+                    if sigma is not None:
+                        x = int(part[i])
+                        return MinorWitness(x=x, y=rest & ~x, iso=sigma)
     return None
 
 
@@ -418,10 +404,6 @@ def intersect3_bruteforce(
     return None
 
 
-#: Below this many pairs of bases, Python sets cost less than numpy calls.
-_NUMPY_PAIRS = 1 << 10
-
-
 def intersect3_bases(
     d1: Description, d2: Description, d3: Description, k: int
 ) -> Optional[int]:
@@ -431,9 +413,8 @@ def intersect3_bases(
     Output-sensitive: every pairwise intersection B1 & B2 lies inside a
     maximal one, so only the maximal pairwise intersections S12 meet the
     third list.  Cost k1*k2 + |S12|*k3 set operations instead of
-    k1*k2*k3; past ``_NUMPY_PAIRS`` pairs both steps run in numpy.
-    Returns the first largest s & B3, with S12 in canonical order and
-    the third list in its own, if it has at least k elements.
+    k1*k2*k3.  Returns the first largest s & B3, with S12 in canonical
+    order and the third list in its own, if it has at least k elements.
     """
     for d in (d1, d2, d3):
         if d.kind != "bases":
@@ -442,23 +423,8 @@ def intersect3_bases(
         raise ValueError("matroids do not share a ground set")
     if k < 0:
         raise ValueError(f"negative target size {k}")
-    third = d3.sets
-    if not third:
-        return None
-    if len(d1.sets) * len(d2.sets) < _NUMPY_PAIRS:
-        pairs = {b1 & b2 for b1 in d1.sets for b2 in d2.sets}
-        meets = [s & b3 for s in maximal_sets(pairs) for b3 in third]
-    else:
-        # a table over the masks drops repeated pairs in 2**n bytes
-        seen = np.zeros(1 << d1.n, dtype=bool)
-        second = np.array(d2.sets, dtype=np.int64)
-        for b1 in d1.sets:
-            seen[second & b1] = True
-        listed = np.array(third, dtype=np.int64)
-        meets = [
-            s & third[int(np.argmax(np.bitwise_count(s & listed)))]
-            for s in maximal_sets(np.flatnonzero(seen).tolist())
-        ]
+    pairs = {b1 & b2 for b1 in d1.sets for b2 in d2.sets}
+    meets = [s & b3 for s in maximal_sets(pairs) for b3 in d3.sets]
     best = max(meets, key=int.bit_count, default=None)
     return best if best is not None and best.bit_count() >= k else None
 

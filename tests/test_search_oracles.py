@@ -5,6 +5,7 @@ the per-union loop with a fresh circuit contraction for
 ``detect_minor_fixed``.  Each route must find the same answer, and the
 minor searches the very same witness."""
 
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 from operator import or_
@@ -24,10 +25,10 @@ from matroidkit import (
     to_view,
     uniform,
 )
-from matroidkit import tables
+from matroidkit import reductions, tables
 from matroidkit.bitsets import elements, from_elements, full_mask, submasks
 from matroidkit.core import minor_circuits
-from matroidkit.reductions import MinorWitness, _ascending_subsets, _distinct_unions
+from matroidkit.reductions import MinorWitness, _distinct_unions
 
 from conftest import P3, minor_host_params
 
@@ -140,8 +141,8 @@ def minor_fixed_per_union(host, pattern):
 @st.composite
 def base_families(draw):
     """Three families of distinct sets over one ground set, n <= 8; not
-    necessarily bases of matroids.  Short lists take the Python-set step
-    of the route, lists of 32 or more its numpy step."""
+    necessarily bases of matroids.  Lists are short, or from n = 6 on
+    32 to 48 sets long."""
     n = draw(st.integers(1, 8))
     low, high = draw(st.sampled_from([(1, 12), (32, 48)]) if n >= 6 else st.just((1, 12)))
     sets = st.lists(st.integers(0, (1 << n) - 1), min_size=low, max_size=high, unique=True)
@@ -164,9 +165,12 @@ def test_intersect3_bases_finds_the_all_triples_best(families, k):
 # -- minor detection -------------------------------------------------------
 
 
+# blocks of 4 contract sets, and rows of 4 cells or a single row
+@pytest.mark.parametrize("cells", [reductions._MINOR_CELLS, 1 << 2], ids=["default", "blocks"])
 @pytest.mark.parametrize("pattern", pattern_params())
 @pytest.mark.parametrize("host", minor_host_params())
-def test_minor_exhaustive_keeps_the_per_x_witness(host, pattern):
+def test_minor_exhaustive_keeps_the_per_x_witness(host, pattern, cells, monkeypatch):
+    monkeypatch.setattr(reductions, "_MINOR_CELLS", cells)
     assert detect_minor_exhaustive(host, pattern) == minor_exhaustive_per_x(host, pattern)
 
 
@@ -216,7 +220,17 @@ def test_minor_fixed_keeps_the_per_union_witness_on_antichains(drawn):
         assert detect_minor_fixed(host, pattern) == want
 
 
-@pytest.mark.parametrize("elems", [(), (3,), (0, 2, 5), tuple(range(1, 26, 2))])
-def test_ascending_subsets_are_the_submasks_in_order(elems):
-    # the last case has 13 elements, past the cached bit matrix
-    assert _ascending_subsets(elems).tolist() == list(submasks(from_elements(elems)))
+def test_minor_exhaustive_memory_is_bounded_by_the_block(monkeypatch):
+    # a loop is no minor of a free matroid, so every x of every A is
+    # visited; unblocked, each array over the 2**15 subsets of E - A
+    # would take 256 KB
+    host, pattern = uniform(16, 16), uniform(0, 1)
+    tables.rank_table(host)
+    monkeypatch.setattr(reductions, "_MINOR_CELLS", 1 << 8)
+    tracemalloc.start()
+    try:
+        assert detect_minor_exhaustive(host, pattern) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 10
