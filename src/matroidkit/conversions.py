@@ -121,9 +121,9 @@ def _fundamental_circuits(bases: List[int], n: int) -> List[int]:
 def _bases_to_cyclicflats(desc: Description) -> Description:
     """Closure-of-circuits seeding plus the pairwise-union-closure loop.
 
-    The working list is asserted never to exceed the number of listed
-    bases, and the loop runs at most r(M) passes (stopping early once a
-    pass adds nothing).
+    The working list of a matroid never exceeds the number of listed
+    bases (``ValueError`` if it does), and the loop runs at most r(M)
+    passes (stopping early once a pass adds nothing).
     """
     view = to_view(desc)
     b_count = len(desc.sets)
@@ -132,9 +132,7 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
     found.add(view.closure(0))
     for _ in range(view.full_rank):
         if len(found) > b_count:
-            raise AssertionError(
-                "cyclic-flat working list exceeds the basis count"
-            )
+            break
         flats = sorted(found)
         new = set()
         for i, z1 in enumerate(flats):
@@ -144,7 +142,9 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
             break
         found |= new
     if len(found) > b_count:
-        raise AssertionError("cyclic-flat working list exceeds the basis count")
+        raise ValueError(
+            "cyclic-flat working list exceeds the basis count (not a matroid)"
+        )
     cyclic = list(found)
     return description("cyclicflats", desc.n, cyclic, [view.rank(z) for z in cyclic])
 
@@ -239,10 +239,10 @@ def convert(desc: Description, to: str) -> Tuple[Description, ConversionPlan]:
 
 
 def count_cyclic_flats_vs_bases(view: MatroidView) -> Tuple[int, int]:
-    """Exhaustive (z, b) counts; z <= b always holds."""
+    """Exhaustive (z, b) counts; ``ValueError`` unless z <= b, as in a matroid."""
     families = tables.classify(view)
     z = int(families["cyclicflats"].sum())
     b = int(families["bases"].sum())
     if z > b:
-        raise AssertionError(f"cyclic flats {z} exceed bases {b}")
+        raise ValueError(f"cyclic flats {z} exceed bases {b} (not a matroid)")
     return z, b

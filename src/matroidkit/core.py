@@ -7,8 +7,12 @@ bit masks.  All derived quantities are obtained through the greedy
 algorithm, so any structure that can answer "is this subset
 independent?" yields the full query interface.  A view may also carry a
 table source: a function that builds its whole independence table with
-vectorised subset transforms, which the exhaustive layer in
-:mod:`matroidkit.tables` calls instead of querying every mask.
+vectorised subset transforms; the exhaustive layer in
+:mod:`matroidkit.tables` builds tables only through it.
+
+The constructions are table-backed: each builds its parent's rank table
+and returns a table view of one numpy transform of it (a reversal, a
+cap, an outer sum, or a gather through an image table).
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitsets import (
-    CapacityError,
     canonical_order,
     check_ground,
     check_mask,
@@ -35,6 +38,8 @@ class MatroidView:
     stores deterministic values, so views may be shared across threads.
     ``table_source``, when given, returns the boolean independence table
     over all ``2**n`` masks of the matroid that ``indep``/``rank`` query.
+    The views the constructions return are table views: building one
+    builds the parent's rank table, and queries read the new rank table.
     """
 
     __slots__ = (
@@ -130,36 +135,29 @@ class MatroidView:
 
     def dual(self) -> "MatroidView":
         """The dual matroid, via r*(A) = |A| + r(E-A) - r(E)."""
-        full, r = self.full, self.full_rank
-        return MatroidView(
+        from . import tables  # tables builds on this module
+
+        rank = tables.rank_table(self)
+        return tables.table_view(
             self.n,
-            rank=lambda a: a.bit_count() + self.rank(full & ~a) - r,
+            tables.popcounts(self.n) + rank[::-1] - rank[-1],
             name=f"dual({self.name})" if self.name else None,
         )
 
     def minor(self, x: int, y: int) -> "MatroidView":
         """M / x \\ y on the surviving elements, re-indexed 0..n'-1 in
         their original order.  ``index_map[i]`` is the original index of
-        the minor's element ``i``."""
+        the minor's element ``i``.  r'(A) = r(A | x) - r(x), gathered
+        through a transient int64 image array (128 MB at n' = 24)."""
         check_mask(x, self.n)
         check_mask(y, self.n)
         if x & y:
             raise ValueError("contracted and deleted sets overlap")
         keep = tuple(elements(self.full & ~x & ~y))
-        rx = self.rank(x)
-
-        def expand(a: int) -> int:
-            m = 0
-            for i in elements(a):
-                m |= 1 << keep[i]
-            return m
-
-        return MatroidView(
-            len(keep),
-            rank=lambda a: self.rank(expand(a) | x) - rx,
-            name=f"minor({self.name})" if self.name else None,
-            index_map=keep,
-        )
+        name = f"minor({self.name})" if self.name else None
+        view = _pull_back(self, [1 << e for e in keep], name, x)
+        view.index_map = keep
+        return view
 
     def delete(self, y: int) -> "MatroidView":
         return self.minor(0, y)
@@ -168,38 +166,46 @@ class MatroidView:
         return self.minor(x, 0)
 
     def truncate(self, target_rank: int) -> "MatroidView":
-        """Truncation to ``target_rank``: r(A) capped at the target.  Its
-        table keeps the parent's independent sets of at most that size."""
+        """Truncation to ``target_rank``: r(A) capped at the target."""
         if not 0 <= target_rank <= self.full_rank:
             raise ValueError(
                 f"truncation rank {target_rank} outside [0, {self.full_rank}]"
             )
+        from . import tables
 
-        def table() -> np.ndarray:
-            from . import tables  # tables builds on this module
-
-            within = tables.popcounts(self.n) <= target_rank
-            return tables.independence_table(self) & within
-
-        return MatroidView(
+        return tables.table_view(
             self.n,
-            rank=lambda a: min(self.rank(a), target_rank),
-            table_source=table,
+            np.minimum(tables.rank_table(self), target_rank),
             name=f"T({self.name})" if self.name else None,
         )
 
 
+def _pull_back(
+    view: MatroidView, images: Sequence[int], name: Optional[str], x: int = 0
+) -> MatroidView:
+    """The matroid on ``len(images)`` elements in which element ``i``
+    acts as the set ``images[i]`` of ``view`` contracted by ``x``:
+    r'(A) = r(x | OR of images[i] over A) - r(x).  One gather from the
+    parent's rank table through a transient int64 image array of
+    ``2**len(images)`` entries, 128 MB at 24 elements."""
+    from . import tables
+
+    rank = tables.rank_table(view)
+    at = tables.image_table(len(images), images)
+    at |= x
+    return tables.table_view(len(images), rank[at] - rank[x], name=name)
+
+
 def direct_sum(a: MatroidView, b: MatroidView) -> MatroidView:
     """Disjoint union; b's elements are shifted up by a.n."""
+    from . import tables
+
     n = a.n + b.n
     check_ground(n)  # raises CapacityError past the mask width
-    low = a.full
-
-    def rank(m: int) -> int:
-        return a.rank(m & low) + b.rank(m >> a.n)
-
+    # mask m splits as (m >> a.n, m & a.full): the outer sum's row and column
+    rank = np.add.outer(tables.rank_table(b), tables.rank_table(a)).ravel()
     name = f"{a.name}(+){b.name}" if a.name and b.name else None
-    return MatroidView(n, rank=rank, name=name)
+    return tables.table_view(n, rank, name=name)
 
 
 def parallel_blowup(view: MatroidView, m: int) -> MatroidView:
@@ -213,28 +219,8 @@ def parallel_blowup(view: MatroidView, m: int) -> MatroidView:
         raise ValueError(f"parallel class size must be >= 1, got {m}")
     n = view.n * m
     check_ground(n)
-    class_masks = [((1 << m) - 1) << (e * m) for e in range(view.n)]
-
-    def indep(a: int) -> bool:
-        touched = 0
-        for e, cm in enumerate(class_masks):
-            hit = (a & cm).bit_count()
-            if hit > 1:
-                return False
-            if hit:
-                touched |= 1 << e
-        return view.is_independent(touched)
-
-    def rank(a: int) -> int:
-        touched = 0
-        for e, cm in enumerate(class_masks):
-            if a & cm:
-                touched |= 1 << e
-        return view.rank(touched)
-
     name = f"{m}{view.name}" if view.name else None
-    out = MatroidView(n, indep=indep, rank=rank, name=name)
-    return out
+    return _pull_back(view, [1 << (j // m) for j in range(n)], name)
 
 
 def add_parallel(view: MatroidView, e: int) -> MatroidView:
@@ -243,35 +229,19 @@ def add_parallel(view: MatroidView, e: int) -> MatroidView:
         raise ValueError(f"element {e} outside ground set of size {view.n}")
     if view.rank(1 << e) == 0:
         raise ValueError(f"element {e} is a loop; parallel extension undefined")
-    n = view.n + 1
-    check_ground(n)
-    new_bit = 1 << view.n
-    e_bit = 1 << e
-
-    def rank(a: int) -> int:
-        if a & new_bit:
-            a = (a & ~new_bit) | e_bit
-        return view.rank(a)
-
+    check_ground(view.n + 1)
     name = f"{view.name}+parallel({e})" if view.name else None
-    return MatroidView(n, rank=rank, name=name)
+    return _pull_back(view, [1 << i for i in range(view.n)] + [1 << e], name)
 
 
 def relabel(view: MatroidView, perm: Sequence[int]) -> MatroidView:
     """Rename elements: new element ``perm[i]`` behaves like old ``i``."""
     if sorted(perm) != list(range(view.n)):
         raise ValueError("perm is not a permutation of the ground set")
-    inverse = [0] * view.n
+    images = [0] * view.n
     for old, new in enumerate(perm):
-        inverse[new] = old
-
-    def back(a: int) -> int:
-        m = 0
-        for i in elements(a):
-            m |= 1 << inverse[i]
-        return m
-
-    return MatroidView(view.n, rank=lambda a: view.rank(back(a)), name=view.name)
+        images[new] = 1 << old
+    return _pull_back(view, images, view.name)
 
 
 def contract_circuits(circuits: Sequence[int], x: int) -> List[int]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tables
 from .bitsets import elements, from_elements, full_mask, maximal_sets
-from .core import MatroidView, contract_circuits, restrict_circuits
+from .core import MatroidView, contract_circuits, relabel, restrict_circuits
 from .descriptions import Description, description, encode_from_oracle, int_records, to_view
 from .families import MultiGraph, phi, phi_r, subdivision_length
 
@@ -135,13 +135,7 @@ def verify_minor_witness(
     minor = host.minor(w.x, w.y)
     if minor.n != pattern.n or sorted(w.iso) != list(range(pattern.n)):
         return False
-    rt = tables.rank_table(minor)
-    pt = tables.rank_table(pattern)
-    for m in range(1 << minor.n):
-        img = from_elements(w.iso[i] for i in elements(m))
-        if rt[m] != pt[img]:
-            return False
-    return True
+    return tables.views_equal(relabel(minor, w.iso), pattern)
 
 
 def _distinct_unions(circuits: Sequence[int], t: int) -> List[int]:

@@ -7,8 +7,8 @@ exhaustive re-encoding.
 
 Tables are indexed by mask and built with Yates-style subset transforms:
 one vectorised pass per element over the two halves of the table that
-differ only in that element, O(n * 2**n) work in all.  A view without a
-table source falls back to one ``is_independent`` query per mask.
+differ only in that element, O(n * 2**n) work in all.  Every table
+starts from a view's table source; a view without one has no table.
 """
 
 from __future__ import annotations
@@ -103,26 +103,15 @@ def superset_and(table: np.ndarray, n: int) -> np.ndarray:
 
 
 def independence_table(view: MatroidView) -> np.ndarray:
-    """Boolean array over all masks; cached on the view.
-
-    Built by the view's table source when it has one; otherwise by
-    querying ``is_independent`` once per mask, which is also the
-    reference the table sources are tested against.
-    """
-    cached = view._tables
-    if cached is not None and "indep" in cached:
-        return cached["indep"]
-    if view.table_source is not None:
-        indep = view.table_source()
-    else:
-        size = 1 << view.n
-        indep = np.fromiter(
-            (view.is_independent(m) for m in range(size)), dtype=bool, count=size
-        )
-    if cached is None:
-        cached = view._tables = {}
-    cached["indep"] = indep
-    return indep
+    """Boolean array over all masks, built by the view's table source;
+    cached on the view."""
+    if view.table_source is None:
+        raise ValueError(f"{view.name or 'this view'} has no table source")
+    if view._tables is None:
+        view._tables = {}
+    if "indep" not in view._tables:
+        view._tables["indep"] = view.table_source()
+    return view._tables["indep"]
 
 
 def rank_from_independence(indep: np.ndarray, n: int) -> np.ndarray:
@@ -246,10 +235,16 @@ def rank_signature(view: MatroidView) -> Tuple[int, ...]:
 
 
 def table_view(n: int, rank: np.ndarray, name=None) -> MatroidView:
-    """A view backed directly by a precomputed rank array."""
-    pc = popcounts(n)
-    view = MatroidView(n, rank=lambda a: int(rank[a]), name=name)
-    view._tables = {"rank": np.asarray(rank, dtype=np.int8), "indep": np.asarray(rank) == pc}
+    """A view backed directly by a precomputed rank array; its
+    independence table is read off the ranks on first use."""
+    rank = np.asarray(rank, dtype=np.int8)
+    view = MatroidView(
+        n,
+        rank=lambda a: int(rank[a]),
+        table_source=lambda: rank == popcounts(n),
+        name=name,
+    )
+    view._tables = {"rank": rank}
     return view
 
 

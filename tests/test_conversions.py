@@ -6,6 +6,7 @@ from matroidkit import (
     convert,
     convert_edge,
     count_cyclic_flats_vs_bases,
+    description,
     direct_sum,
     encode_from_oracle,
     parallel_blowup,
@@ -140,3 +141,12 @@ def test_cyclicflats_route_equals_exhaustive(view):
     out = convert_edge(bases, "cyclicflats")
     assert out == encode_from_oracle(view, "cyclicflats")
     assert semantically_equal(out, bases)
+
+
+def test_cyclicflats_rejects_non_matroid_bases():
+    # two disjoint bases {0,1} and {2,3}: no basis exchange between them
+    desc = description("bases", 4, [0b0011, 0b1100])
+    with pytest.raises(ValueError, match=r"exceeds the basis count \(not a matroid\)"):
+        convert_edge(desc, "cyclicflats")
+    with pytest.raises(ValueError, match=r"exceed bases 2 \(not a matroid\)"):
+        count_cyclic_flats_vs_bases(to_view(desc))

@@ -329,3 +329,27 @@ def test_cli_validate_rejects_non_matroid_without_asserts(tmp_path):
     )
     assert out.returncode == 3, out.stderr
     assert "FAIL matroid-exchange" in out.stdout
+
+
+DISJOINT_BASES = "matroid bases n=4\n1100\n0011\n"
+
+
+def test_cli_convert_cyclicflats_rejects_non_matroid_bases(tmp_path, capsys):
+    f = _write(tmp_path, "disjoint.txt", DISJOINT_BASES)
+    assert main(["convert", "--in", f, "--to", "cyclicflats"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(not a matroid)" in err
+
+
+def test_cli_convert_cyclicflats_rejects_non_matroid_without_asserts(tmp_path):
+    # under -O every assert is stripped; the error must not depend on one
+    f = _write(tmp_path, "disjoint.txt", DISJOINT_BASES)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "matroidkit.cli", "convert", "--in", f,
+         "--to", "cyclicflats"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and "(not a matroid)" in out.stderr

@@ -3,6 +3,7 @@ import pytest
 
 from matroidkit import (
     detect_minor_exhaustive,
+    direct_sum,
     detect_minor_fixed,
     encode_bipartite,
     encode_from_oracle,
@@ -25,7 +26,7 @@ from matroidkit import (
     uniform,
     verify_minor_witness,
 )
-from matroidkit.reductions import TripleSystem, _distinct_unions
+from matroidkit.reductions import MinorWitness, TripleSystem, _distinct_unions
 
 from conftest import K3, P3
 
@@ -112,6 +113,33 @@ def test_minor_phi3_p3_contains_u34():
 def test_minor_fixed_rejects_other_kinds():
     with pytest.raises(ValueError):
         detect_minor_fixed(encode_from_oracle(uniform(2, 3), "bases"), uniform(1, 2))
+
+
+def _loop_plus_u23_in_loop_plus_u24():
+    """Deleting element 4 of loop + U(2,4) leaves loop + U(2,3) as is."""
+    host = direct_sum(uniform(0, 1), uniform(2, 4))
+    pattern = direct_sum(uniform(0, 1), uniform(2, 3))
+    return host, pattern, MinorWitness(x=0, y=0b10000, iso=(0, 1, 2, 3))
+
+
+def test_verify_minor_witness_rejects_swapped_iso():
+    host, pattern, w = _loop_plus_u23_in_loop_plus_u24()
+    assert verify_minor_witness(host, pattern, w)
+    # elements 2 and 3 are symmetric; the loop 0 and element 1 are not
+    assert verify_minor_witness(host, pattern, MinorWitness(w.x, w.y, (0, 1, 3, 2)))
+    assert not verify_minor_witness(host, pattern, MinorWitness(w.x, w.y, (1, 0, 2, 3)))
+
+
+def test_verify_minor_witness_rejects_wrong_x():
+    host, pattern, w = _loop_plus_u23_in_loop_plus_u24()
+    # contracting element 4 instead of deleting it leaves loop + U(1,3)
+    assert not verify_minor_witness(host, pattern, MinorWitness(0b10000, 0, w.iso))
+
+
+def test_verify_minor_witness_rejects_wrong_length_iso():
+    host, pattern, w = _loop_plus_u23_in_loop_plus_u24()
+    for iso in ((0, 1, 2), (0, 1, 2, 3, 4)):
+        assert not verify_minor_witness(host, pattern, MinorWitness(w.x, w.y, iso))
 
 
 def test_distinct_unions():
