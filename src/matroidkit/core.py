@@ -2,17 +2,18 @@
 constructions (dual, minors, truncation, direct sums, parallel
 extensions).
 
-A view wraps either an independence predicate or a rank function over
-bit masks.  All derived quantities are obtained through the greedy
-algorithm, so any structure that can answer "is this subset
-independent?" yields the full query interface.  A view may also carry a
-table source: a function that builds its whole independence table with
-vectorised subset transforms; the exhaustive layer in
-:mod:`matroidkit.tables` builds tables only through it.
+A view is built from a table source, from an independence predicate or
+a rank function, or from both.  The table source builds the whole
+independence table with vectorised subset transforms; the exhaustive
+layer in :mod:`matroidkit.tables` builds tables only through it.  A
+view given a predicate but no rank function answers ``rank`` by the
+greedy algorithm.
 
-The constructions are table-backed: each builds its parent's rank table
-and returns a table view of one numpy transform of it (a reversal, a
-cap, an outer sum, or a gather through an image table).
+Table-only views answer every query from their rank table: the uniform
+and bicircular families, the ``rank`` description kind, and the table
+views the constructions return.  Each construction builds its parent's
+rank table and returns a table view of one numpy transform of it (a
+reversal, a cap, an outer sum, or a gather through an image table).
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ from .bitsets import (
 class MatroidView:
     """A queryable matroid on the ground set ``{0 .. n-1}``.
 
-    Immutable after construction.  The internal rank memo only ever
-    stores deterministic values, so views may be shared across threads.
     ``table_source``, when given, returns the boolean independence table
-    over all ``2**n`` masks of the matroid that ``indep``/``rank`` query.
-    The views the constructions return are table views: building one
-    builds the parent's rank table, and queries read the new rank table.
+    over all ``2**n`` masks.  A view with neither ``indep`` nor ``rank``
+    is table-only: its rank reads :func:`matroidkit.tables.rank_table`
+    and its independence follows from that.  The public queries check
+    their mask once and then run unchecked private steps.  ``name`` and
+    ``index_map`` are set by the builders.
     """
 
     __slots__ = (
@@ -50,7 +51,6 @@ class MatroidView:
         "index_map",
         "_indep",
         "_rank",
-        "_memo",
         "_tables",
         "_full_rank",
     )
@@ -64,8 +64,10 @@ class MatroidView:
         name: Optional[str] = None,
         index_map: Optional[Tuple[int, ...]] = None,
     ):
-        if indep is None and rank is None:
-            raise ValueError("need an independence predicate or a rank function")
+        if indep is None and rank is None and table_source is None:
+            raise ValueError(
+                "need an independence predicate, a rank function or a table source"
+            )
         check_ground(n)
         self.n = n
         self.full = full_mask(n)
@@ -74,15 +76,14 @@ class MatroidView:
         self.index_map = index_map
         self._indep = indep
         self._rank = rank
-        self._memo: dict = {}
         self._tables = None
         self._full_rank: Optional[int] = None
 
     @property
     def full_rank(self) -> int:
-        """r(E), computed by the greedy queries on first use."""
+        """r(E), computed on first use."""
         if self._full_rank is None:
-            self._full_rank = self.rank(self.full)
+            self._full_rank = self._rank_of(self.full)
         return self._full_rank
 
     def __repr__(self):
@@ -93,40 +94,48 @@ class MatroidView:
 
     def is_independent(self, a: int) -> bool:
         check_mask(a, self.n)
-        if self._indep is not None:
-            return self._indep(a)
-        return self._rank(a) == a.bit_count()
+        return self._independent(a)
 
     def rank(self, a: int) -> int:
         check_mask(a, self.n)
-        if self._rank is not None:
-            return self._rank(a)
-        got = self._memo.get(a)
-        if got is None:
-            got = self.basis_of(a).bit_count()
-            self._memo[a] = got
-        return got
+        return self._rank_of(a)
 
     def basis_of(self, a: int) -> int:
         """A maximal independent subset of ``a``, grown greedily in
         ascending element order."""
         check_mask(a, self.n)
-        picked = 0
-        for e in elements(a):
-            trial = picked | (1 << e)
-            if self.is_independent(trial):
-                picked = trial
-        return picked
+        return self._basis(a)
 
     def closure(self, a: int) -> int:
         check_mask(a, self.n)
-        basis = self.basis_of(a)
+        basis = self._basis(a)
         out = a
-        rest = self.full & ~a
-        for e in elements(rest):
-            if not self.is_independent(basis | (1 << e)):
+        for e in elements(self.full & ~a):
+            if not self._independent(basis | (1 << e)):
                 out |= 1 << e
         return out
+
+    def _independent(self, a: int) -> bool:
+        if self._indep is not None:
+            return self._indep(a)
+        return self._rank_of(a) == a.bit_count()
+
+    def _rank_of(self, a: int) -> int:
+        if self._rank is not None:
+            return self._rank(a)
+        if self._indep is not None:
+            return self._basis(a).bit_count()
+        from . import tables
+
+        return int(tables.rank_table(self)[a])
+
+    def _basis(self, a: int) -> int:
+        picked = 0
+        for e in elements(a):
+            trial = picked | (1 << e)
+            if self._independent(trial):
+                picked = trial
+        return picked
 
     def spans(self, a: int) -> bool:
         return self.rank(a) == self.full_rank

@@ -201,9 +201,12 @@ def parse(text) -> Description:
             if not sep:
                 raise ParseError(f"kind {kind!r} requires '<bits>:<rank>' lines", lineno)
             try:
-                ranks.append(int(annot.strip()))
+                rank = int(annot.strip())
             except ValueError:
                 raise ParseError(f"bad rank annotation {annot!r}", lineno) from None
+            if not 0 <= rank <= n:
+                raise ParseError(f"set rank {rank} outside [0, {n}]", lineno)
+            ranks.append(rank)
         elif sep:
             raise ParseError(f"kind {kind!r} lines must not carry ranks", lineno)
         sets.append(mask)
@@ -269,12 +272,6 @@ def _flat_closure(n: int, flat_list: Sequence[int]) -> np.ndarray:
     return tables.superset_and(closure, n)
 
 
-def _listed_ranks(desc: Description) -> np.ndarray:
-    table = np.zeros(1 << desc.n, dtype=np.int8)
-    table[np.array(desc.sets, dtype=np.int64)] = desc.set_ranks
-    return table
-
-
 def _independence_source(desc: Description, heights: Optional[Dict[int, int]]):
     """The decoding rule of each kind as whole-table subset transforms:
     returns a function building the independence table over all masks."""
@@ -286,7 +283,9 @@ def _independence_source(desc: Description, heights: Optional[Dict[int, int]]):
 
     def build() -> np.ndarray:
         if kind == "rank":
-            return from_rank(_listed_ranks(desc))
+            rank = np.zeros(1 << n, dtype=np.int8)
+            rank[np.array(sets, dtype=np.int64)] = desc.set_ranks
+            return from_rank(rank)
         if kind == "independent":
             return tables.indicator(n, sets)
         if kind == "bases":
@@ -334,9 +333,10 @@ def to_view(desc: Description) -> MatroidView:
 
     Each kind gets its own decoding rule, once as a per-query predicate
     over the listed sets and once as a table source that decodes the
-    whole subset lattice with vectorised transforms.  Hyperplane-side
-    kinds are routed through the dual (the circuits of the dual are the
-    complements of the hyperplanes).
+    whole subset lattice with vectorised transforms.  The ``rank`` kind
+    lists all ``2**n`` sets, so it gets the table source alone.
+    Hyperplane-side kinds are routed through the dual (the circuits of
+    the dual are the complements of the hyperplanes).
     """
     n = desc.n
     full = full_mask(n)
@@ -350,10 +350,7 @@ def to_view(desc: Description) -> MatroidView:
     source = _independence_source(desc, heights)
 
     if kind == "rank":
-        table = _listed_ranks(desc)
-        return MatroidView(
-            n, rank=lambda a: int(table[a]), table_source=source, name=name
-        )
+        return MatroidView(n, table_source=source, name=name)
 
     if kind == "independent":
         listed = frozenset(desc.sets)
@@ -384,24 +381,18 @@ def to_view(desc: Description) -> MatroidView:
 
         return MatroidView(n, rank=flat_rank, table_source=source, name=name)
 
+    def circuit_rule(circuits: Sequence[int], r: int):
+        """Independent: at most r elements and no listed circuit inside."""
+        return lambda a: a.bit_count() <= r and not any(a & c == c for c in circuits)
+
     if kind in ("circuits", "nsc"):
         r = n if kind == "circuits" else desc.r
-        return MatroidView(
-            n,
-            indep=lambda a: a.bit_count() <= r
-            and not any(a & c == c for c in desc.sets),
-            table_source=source,
-            name=name,
-        )
+        indep = circuit_rule(desc.sets, r)
+        return MatroidView(n, indep=indep, table_source=source, name=name)
 
     if kind in ("hyperplanes", "dephyp"):
-        dual_circuits = [full & ~h for h in desc.sets]
         dual_r = n if kind == "hyperplanes" else n - desc.r
-        dual = MatroidView(
-            n,
-            indep=lambda a: a.bit_count() <= dual_r
-            and not any(a & c == c for c in dual_circuits),
-        )
+        dual = MatroidView(n, indep=circuit_rule([full & ~h for h in desc.sets], dual_r))
 
         def indep(a: int) -> bool:
             # A is independent iff E - A spans the dual

@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .bitsets import check_ground, elements
+from .bitsets import check_ground
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
 from .descriptions import description, int_records, to_view
 from .tables import image_table, popcounts, up_closure
@@ -63,16 +63,12 @@ def serialize_graph(g: MultiGraph) -> str:
 
 
 def uniform(r: int, n: int) -> MatroidView:
-    """U_{r,n}: every set of at most r elements is independent."""
+    """U_{r,n}: every set of at most r elements is independent.  A
+    table-only view: its one rule is the table ``popcounts <= r``."""
     if not 0 <= r <= n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     check_ground(n)
-    return MatroidView(
-        n,
-        rank=lambda a: min(a.bit_count(), r),
-        table_source=lambda: popcounts(n) <= r,
-        name=f"U({r},{n})",
-    )
+    return MatroidView(n, table_source=lambda: popcounts(n) <= r, name=f"U({r},{n})")
 
 
 FAMILY_TAGS = ("L10", "L11", "L15", "L17", "L18", "L20")
@@ -130,59 +126,30 @@ def bicircular(g: MultiGraph) -> MatroidView:
 
     An edge set is independent iff every connected component of the
     subgraph it induces contains at most one cycle; loops and parallel
-    pairs count as cycles.  Queries run that rule by union-find, O(m)
-    per mask.
+    pairs count as cycles.
 
-    The table source uses that the bicircular matroid is transversal,
-    each edge standing for its set of endpoints (Matthews, "Bicircular
-    matroids", Quart. J. Math. 1977).  By Hall's theorem a set is
-    independent iff none of its subsets S has more edges than the
-    vertices V(S) they touch, so the dependent sets are the supersets of
-    {S : |S| > |V(S)|}: an image table of the endpoint masks and one
-    up-closure, O(m * 2**m) in numpy passes.
+    A table-only view.  Its table source uses that the bicircular
+    matroid is transversal, each edge standing for its set of endpoints
+    (Matthews, "Bicircular matroids", Quart. J. Math. 1977).  By Hall's
+    theorem a set is independent iff none of its subsets S has more
+    edges than the vertices V(S) they touch, so the dependent sets are
+    the supersets of {S : |S| > |V(S)|}: an image table of the endpoint
+    masks and one up-closure, O(m * 2**m) in numpy passes.
     """
     check_ground(g.m)
-    edge_list = g.edges
-
-    def indep(a: int) -> bool:
-        parent = list(range(g.v))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edge_count: dict = {}
-        vertex_count: dict = {}
-        touched = set()
-        for i in elements(a):
-            u, w = edge_list[i]
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[ru] = rw
-            touched.add(u)
-            touched.add(w)
-        for x in touched:
-            vertex_count[find(x)] = vertex_count.get(find(x), 0) + 1
-        for i in elements(a):
-            root = find(edge_list[i][0])
-            edge_count[root] = edge_count.get(root, 0) + 1
-        # cycle rank of a component is edges - vertices + 1
-        return all(edge_count[root] <= vertex_count[root] for root in edge_count)
 
     def table() -> np.ndarray:
         # number the touched vertices densely so their masks fit in 48 bits
         slot: dict = {}
         ends = [
             1 << slot.setdefault(u, len(slot)) | 1 << slot.setdefault(w, len(slot))
-            for u, w in edge_list
+            for u, w in g.edges
         ]
         touched = np.bitwise_count(image_table(g.m, ends))
         return ~up_closure(popcounts(g.m) > touched, g.m)
 
     name = f"B(graph v={g.v} m={g.m})"
-    return MatroidView(g.m, indep=indep, table_source=table, name=name)
+    return MatroidView(g.m, table_source=table, name=name)
 
 
 def add_loops(g: MultiGraph, per_vertex: int) -> MultiGraph:

@@ -235,15 +235,10 @@ def rank_signature(view: MatroidView) -> Tuple[int, ...]:
 
 
 def table_view(n: int, rank: np.ndarray, name=None) -> MatroidView:
-    """A view backed directly by a precomputed rank array; its
-    independence table is read off the ranks on first use."""
+    """A table-only view of a precomputed rank array; its independence
+    table is read off the ranks on first use."""
     rank = np.asarray(rank, dtype=np.int8)
-    view = MatroidView(
-        n,
-        rank=lambda a: int(rank[a]),
-        table_source=lambda: rank == popcounts(n),
-        name=name,
-    )
+    view = MatroidView(n, table_source=lambda: rank == popcounts(n), name=name)
     view._tables = {"rank": rank}
     return view
 

@@ -9,7 +9,8 @@ from matroidkit import (
     relabel,
     uniform,
 )
-from matroidkit.tables import family_masks, rank_table, views_equal
+from matroidkit import core
+from matroidkit.tables import family_masks, popcounts, rank_table, views_equal
 
 from conftest import corpus_params
 
@@ -35,6 +36,32 @@ def test_loops_and_closure_of_empty():
 def test_view_requires_an_oracle():
     with pytest.raises(ValueError):
         MatroidView(3)
+
+
+def test_table_only_view_answers_from_its_rank_table():
+    view = MatroidView(3, table_source=lambda: popcounts(3) <= 1)
+    assert view.full_rank == 1 and view.rank(0b110) == 1
+    assert view.is_independent(0b100) and not view.is_independent(0b011)
+    assert view.basis_of(0b110) == 0b010
+    assert view.closure(0b001) == 0b111
+
+
+def _greedy_u23():
+    return MatroidView(3, indep=lambda a: a.bit_count() <= 2)
+
+
+@pytest.mark.parametrize("query", ["is_independent", "rank", "basis_of", "closure"])
+@pytest.mark.parametrize("build", [lambda: uniform(2, 3), _greedy_u23], ids=["table", "greedy"])
+def test_public_queries_check_the_mask_once(monkeypatch, query, build):
+    view = build()
+    for bad in (0b1000, -1):
+        with pytest.raises(ValueError):
+            getattr(view, query)(bad)
+    calls = []
+    checked = core.check_mask
+    monkeypatch.setattr(core, "check_mask", lambda a, n: calls.append(a) or checked(a, n))
+    getattr(view, query)(0b111)
+    assert calls == [0b111]
 
 
 @pytest.mark.parametrize("view", corpus_params())

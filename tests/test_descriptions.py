@@ -91,6 +91,22 @@ def test_parse_errors_carry_line_numbers():
         parse("")
 
 
+@pytest.mark.parametrize("kind", ["rank", "cyclicflats"])
+def test_parse_reports_an_out_of_range_set_rank_at_its_line(kind):
+    with pytest.raises(ParseError) as err:
+        parse(f"matroid {kind} n=1\n0:0\n1:5\n")
+    assert err.value.line == 3
+    assert str(err.value) == "line 3: set rank 5 outside [0, 1]"
+    with pytest.raises(ParseError) as err:
+        parse(f"matroid {kind} n=1\n0:-1\n1:1\n")
+    assert str(err.value) == "line 2: set rank -1 outside [0, 1]"
+
+
+def test_description_keeps_its_set_rank_check():
+    with pytest.raises(ValueError, match=r"set rank 5 outside \[0, 1\]"):
+        description("rank", 1, [0, 1], [0, 5])
+
+
 def test_parse_reports_a_distant_duplicate_at_its_second_line():
     lines = [format_bits(m, 6) for m in range(38)] + [format_bits(0, 6)]
     with pytest.raises(ParseError) as err:

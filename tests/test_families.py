@@ -2,6 +2,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidkit import (
     CapacityError,
@@ -18,8 +20,14 @@ from matroidkit import (
     subdivision_length,
     uniform,
 )
-from matroidkit.bitsets import elements, from_elements
-from matroidkit.tables import classify, family_masks, views_equal
+from matroidkit.bitsets import elements, from_elements, submasks
+from matroidkit.tables import (
+    classify,
+    family_masks,
+    independence_table,
+    rank_table,
+    views_equal,
+)
 
 from conftest import K3, P3
 
@@ -143,6 +151,40 @@ def test_bicircular_matches_definition_oracle(g):
     view = bicircular(g)
     for mask in range(1 << g.m):
         assert view.is_independent(mask) == _bicircular_indep_oracle(g, mask), mask
+
+
+@st.composite
+def loopy_multigraphs(draw):
+    """Graphs with loops and parallel edges, v <= 5, m <= 9."""
+    v = draw(st.integers(1, 5))
+    ends = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1))
+    return multigraph(v, draw(st.lists(ends, max_size=9)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(loopy_multigraphs())
+def test_bicircular_tables_match_definition_oracle(g):
+    # the table source is the view's only rule, so check it from outside
+    size = 1 << g.m
+    want_indep = [_bicircular_indep_oracle(g, m) for m in range(size)]
+    want_rank = [
+        max(s.bit_count() for s in submasks(m) if want_indep[s]) for m in range(size)
+    ]
+    view = bicircular(g)
+    assert independence_table(view).tolist() == want_indep
+    assert rank_table(view).tolist() == want_rank
+    assert view.full_rank == want_rank[-1]
+
+
+@pytest.mark.parametrize("r, n", [(0, 0), (0, 3), (1, 4), (2, 5), (5, 5), (3, 7)])
+def test_uniform_tables_match_closed_form(r, n):
+    view = uniform(r, n)
+    want_rank = [min(m.bit_count(), r) for m in range(1 << n)]
+    assert rank_table(view).tolist() == want_rank
+    assert independence_table(view).tolist() == [
+        rank == m.bit_count() for m, rank in enumerate(want_rank)
+    ]
+    assert [view.rank(m) for m in range(1 << n)] == want_rank
 
 
 def test_bicircular_loops_and_parallels_are_cycles():

@@ -249,6 +249,13 @@ def test_cli_error_paths(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kind", ["rank", "cyclicflats"])
+def test_cli_names_the_line_of_an_out_of_range_set_rank(tmp_path, capsys, kind):
+    f = _write(tmp_path, "ranks.txt", f"matroid {kind} n=1\n0:0\n1:5\n")
+    assert main(["validate", f]) == 2
+    assert capsys.readouterr().err == "error: line 3: set rank 5 outside [0, 1]\n"
+
+
 def test_cli_flats_not_intersection_closed(tmp_path, capsys):
     # 110 and 011 meet in 010, which is not listed
     f = _write(tmp_path, "flats.txt", "matroid flats n=3\n110\n011\n111\n")

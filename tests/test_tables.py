@@ -162,6 +162,19 @@ def test_engine_matches_predicate_path(view, kind):
     _assert_engine_matches(encode_from_oracle(view, kind))
 
 
+@pytest.mark.parametrize("view", corpus_params())
+def test_rank_kind_independence_is_read_off_the_listed_ranks(view):
+    # the rank kind is table-only, so check its table against the listing
+    desc = encode_from_oracle(view, "rank")
+    listed = dict(zip(desc.sets, desc.set_ranks))
+    decoded = to_view(desc)
+    want = [listed[m] == m.bit_count() for m in range(1 << view.n)]
+    assert independence_table(decoded).tolist() == want
+    assert [decoded.rank(m) for m in range(1 << view.n)] == [
+        listed[m] for m in range(1 << view.n)
+    ]
+
+
 @st.composite
 def antichain_descriptions(draw):
     """Random antichains, possibly non-matroidal, decoded as one of the
