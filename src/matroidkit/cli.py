@@ -111,12 +111,12 @@ def _cmd_minor(args) -> int:
 def _cmd_iso(args) -> int:
     if args.encode:
         encoded = reductions.encode_bipartite(_load_description(args.encode))
-        nodes = sorted(encoded.graph.nodes(), key=repr)
+        nodes = sorted(encoded.roles, key=repr)
         index = {node: i for i, node in enumerate(nodes)}
         lines = [f"graph n={len(nodes)}"]
         for u, w in sorted(
             (min(index[a], index[b]), max(index[a], index[b]))
-            for a, b in encoded.graph.edges()
+            for a, b in encoded.edges
         ):
             lines.append(f"{u} {w}")
         _emit("\n".join(lines) + "\n", args.out)

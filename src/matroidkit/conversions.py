@@ -14,8 +14,11 @@ canonical sort of its output:
   O(k * |output|) subset tests (``bitsets.minimal_sets``/``maximal_sets``);
 - independent -> flats: O(k * n) lookups; flats -> cyclicflats the same,
   after ranking the flats in O(k^2) vectorised steps;
-- bases -> circuits / hyperplanes: O(k * n^2) exchange lookups;
-- circuits -> nsc, hyperplanes -> dephyp: O(k * n), the rank by n queries;
+- bases -> circuits: O(k * n^2) exchange lookups; bases -> hyperplanes
+  the same on the dual, between two O(k) complement passes
+  (``descriptions.dual``);
+- circuits -> nsc: O(k * n), the rank by n queries; hyperplanes ->
+  dephyp the same on the dual, between two O(k) complement passes;
 - bases -> cyclicflats: closures, n queries of O(k) each, of the
   fundamental circuits and then of pairwise unions, at most r passes.
 """
@@ -27,7 +30,7 @@ from typing import Dict, List, Tuple
 
 from . import tables
 from .bitsets import canonical_key, elements, full_mask, maximal_sets, minimal_sets
-from .descriptions import Description, description, encode_from_oracle, to_view
+from .descriptions import Description, description, dual, encode_from_oracle, to_view
 from .core import MatroidView
 
 #: Directed cover edges of the convertibility order, in declaration
@@ -149,6 +152,13 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
     return description("cyclicflats", desc.n, cyclic, [view.rank(z) for z in cyclic])
 
 
+def _non_spanning(circuits: Description) -> Description:
+    """The circuits of at most the matroid's rank, with that rank."""
+    r = to_view(circuits).full_rank
+    sets = [c for c in circuits.sets if c.bit_count() <= r]
+    return description("nsc", circuits.n, sets, r=r)
+
+
 def convert_edge(desc: Description, target: str) -> Description:
     """Apply a lattice edge's algorithm; the module docstring gives its cost."""
     if (desc.kind, target) not in EDGES:
@@ -189,10 +199,9 @@ def convert_edge(desc: Description, target: str) -> Description:
                 "circuits", n, _fundamental_circuits(list(desc.sets), n)
             )
         if target == "hyperplanes":
-            # dualize, take fundamental circuits there, complement back
-            dual_bases = [full & ~b for b in desc.sets]
-            cocircuits = _fundamental_circuits(dual_bases, n)
-            return description("hyperplanes", n, [full & ~c for c in cocircuits])
+            # the hyperplanes are the complements of the dual's circuits
+            cocircuits = _fundamental_circuits(list(dual(desc).sets), n)
+            return dual(description("circuits", n, cocircuits))
         if target == "cyclicflats":
             return _bases_to_cyclicflats(desc)
 
@@ -212,17 +221,11 @@ def convert_edge(desc: Description, target: str) -> Description:
             return description("cyclicflats", n, keep, [view.rank(f) for f in keep])
 
     if desc.kind == "circuits" and target == "nsc":
-        r = to_view(desc).full_rank
-        return description(
-            "nsc", n, [c for c in desc.sets if c.bit_count() <= r], r=r
-        )
+        return _non_spanning(desc)
 
     if desc.kind == "hyperplanes" and target == "dephyp":
-        dual_circuits = [full & ~h for h in desc.sets]
-        dual_desc = description("circuits", n, dual_circuits)
-        dual_r = to_view(dual_desc).full_rank
-        dual_nsc = [c for c in dual_circuits if c.bit_count() <= dual_r]
-        return description("dephyp", n, [full & ~c for c in dual_nsc], r=n - dual_r)
+        # the dependent hyperplanes are the complements of the dual's nsc
+        return dual(_non_spanning(dual(desc)))
 
     raise PlanError(f"{desc.kind} -> {target} is not a lattice edge")
 

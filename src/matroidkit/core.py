@@ -39,8 +39,8 @@ class MatroidView:
     over all ``2**n`` masks.  A view with neither ``indep`` nor ``rank``
     is table-only: its rank reads :func:`matroidkit.tables.rank_table`
     and its independence follows from that.  The public queries check
-    their mask once and then run unchecked private steps.  ``name`` and
-    ``index_map`` are set by the builders.
+    their mask once and then run unchecked private steps.  ``name`` is
+    set by the builders, and ``index_map`` by :meth:`minor`.
     """
 
     __slots__ = (
@@ -62,7 +62,6 @@ class MatroidView:
         rank: Optional[Callable[[int], int]] = None,
         table_source: Optional[Callable[[], np.ndarray]] = None,
         name: Optional[str] = None,
-        index_map: Optional[Tuple[int, ...]] = None,
     ):
         if indep is None and rank is None and table_source is None:
             raise ValueError(
@@ -73,7 +72,7 @@ class MatroidView:
         self.full = full_mask(n)
         self.table_source = table_source
         self.name = name
-        self.index_map = index_map
+        self.index_map = None
         self._indep = indep
         self._rank = rank
         self._tables = None

@@ -4,8 +4,9 @@ A :class:`Description` is the persistent artifact: a kind tag, a ground
 set size, a canonically ordered list of subset masks, and where the kind
 requires it a rank per set or a matroid rank in the header.  This module
 owns the text format, the decoding rules that turn a description into a
-queryable :class:`~matroidkit.core.MatroidView`, exhaustive re-encoding,
-size measurement and semantic equality.
+queryable :class:`~matroidkit.core.MatroidView`, the listed dual of the
+kinds that pair up under duality, exhaustive re-encoding, size
+measurement and semantic equality.
 
 Text format (UTF-8, LF)::
 
@@ -272,145 +273,136 @@ def _flat_closure(n: int, flat_list: Sequence[int]) -> np.ndarray:
     return tables.superset_and(closure, n)
 
 
-def _independence_source(desc: Description, heights: Optional[Dict[int, int]]):
-    """The decoding rule of each kind as whole-table subset transforms:
-    returns a function building the independence table over all masks."""
-    n, kind, sets = desc.n, desc.kind, desc.sets
-    full = full_mask(n)
+#: The kind that lists M* by the complements of a kind's sets: the bases
+#: of M* complement the bases of M, the circuits of M* the hyperplanes of
+#: M, and the non-spanning circuits of M* the dependent hyperplanes of M
+#: (Oxley, *Matroid Theory*, §2.1).
+_DUAL_KIND = {
+    "bases": "bases",
+    "circuits": "hyperplanes",
+    "hyperplanes": "circuits",
+    "nsc": "dephyp",
+    "dephyp": "nsc",
+}
 
-    def from_rank(rank: np.ndarray) -> np.ndarray:
-        return rank == tables.popcounts(n)
 
-    def build() -> np.ndarray:
-        if kind == "rank":
-            rank = np.zeros(1 << n, dtype=np.int8)
-            rank[np.array(sets, dtype=np.int64)] = desc.set_ranks
-            return from_rank(rank)
-        if kind == "independent":
-            return tables.indicator(n, sets)
-        if kind == "bases":
-            return tables.down_closure(tables.indicator(n, sets), n)
-        if kind == "spanning":
-            listed = tables.indicator(n, sets)
-            minimal = listed & ~tables.strict_up_closure(listed, n)
-            return tables.down_closure(minimal, n)
-        if kind in ("circuits", "nsc"):
-            indep = ~tables.up_closure(tables.indicator(n, sets), n)
-            if kind == "nsc":
-                indep &= tables.popcounts(n) <= desc.r
-            return indep
-        if kind in ("hyperplanes", "dephyp"):
-            # the complements of the hyperplanes are the dual's circuits
-            dual_indep = ~tables.up_closure(
-                tables.indicator(n, (full ^ h for h in sets)), n
-            )
-            if kind == "dephyp":
-                dual_indep &= tables.popcounts(n) <= n - desc.r
-            dual_rank = tables.rank_from_independence(dual_indep, n)
-            # A is independent iff E - A spans the dual; full ^ m == 2^n-1-m
-            return dual_rank[::-1] == dual_rank[-1]
-        if kind == "flats":
-            closure = _flat_closure(n, sets)
-            height_of = np.full(1 << n, -1, dtype=np.int8)
-            height_of[np.fromiter(heights, dtype=np.int64)] = list(heights.values())
-            rank = height_of[closure]
-            if rank.min() < 0:
-                raise _unlisted_intersection(n, int(closure[np.argmin(rank)]))
-            return from_rank(rank)
-        # cyclicflats: r(A) = min over listed Z of r(Z) + |A - Z|
-        pc = tables.popcounts(n)
-        masks = np.arange(1 << n, dtype=np.int32)
-        rank = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
-        for z, rz in zip(sets, desc.set_ranks):
-            np.minimum(rank, pc[masks & (full ^ z)] + np.int8(rz), out=rank)
-        return from_rank(rank)
-
-    return build
+def dual(desc: Description) -> Description:
+    """The description of the dual matroid M*: every set complemented,
+    the kind swapped, and a header rank r read as n - r."""
+    if desc.kind not in _DUAL_KIND:
+        raise ValueError(f"kind {desc.kind!r} has no listed dual")
+    full = full_mask(desc.n)
+    r = None if desc.r is None else desc.n - desc.r
+    return description(_DUAL_KIND[desc.kind], desc.n, [full ^ m for m in desc.sets], r=r)
 
 
 def to_view(desc: Description) -> MatroidView:
     """Decode a description into a queryable view.
 
-    Each kind gets its own decoding rule, once as a per-query predicate
-    over the listed sets and once as a table source that decodes the
-    whole subset lattice with vectorised transforms.  The ``rank`` kind
-    lists all ``2**n`` sets, so it gets the table source alone.
-    Hyperplane-side kinds are routed through the dual (the circuits of
-    the dual are the complements of the hyperplanes).
+    Each kind has one branch that gives its decoding rule twice, side by
+    side: as a per-query predicate or rank function over the listed
+    sets, and as a table source that decodes the whole subset lattice
+    with vectorised transforms.  The ``rank`` kind lists all ``2**n``
+    sets, so it gets the table source alone.  Hyperplane-side kinds
+    decode through their :func:`dual`: A is independent iff E - A spans
+    the dual.
     """
-    n = desc.n
+    n, kind, sets = desc.n, desc.kind, desc.sets
     full = full_mask(n)
-    name = f"{desc.kind}[n={n}]"
-    kind = desc.kind
-    heights = None
-    if kind == "flats":
-        if full not in desc.sets:
-            raise ValueError("flats description does not list the ground set")
-        heights = _flat_heights(desc.sets)
-    source = _independence_source(desc, heights)
+    indep = rank = None
+
+    def from_rank(ranks: np.ndarray) -> np.ndarray:
+        return ranks == tables.popcounts(n)
 
     if kind == "rank":
-        return MatroidView(n, table_source=source, name=name)
+        def source() -> np.ndarray:
+            ranks = np.zeros(1 << n, dtype=np.int8)
+            ranks[np.array(sets, dtype=np.int64)] = desc.set_ranks
+            return from_rank(ranks)
 
-    if kind == "independent":
-        listed = frozenset(desc.sets)
-        return MatroidView(
-            n, indep=lambda a: a in listed, table_source=source, name=name
-        )
+    elif kind == "independent":
+        listed = frozenset(sets)
+        indep = listed.__contains__
 
-    if kind in ("spanning", "bases"):
-        if not desc.sets:
+        def source() -> np.ndarray:
+            return tables.indicator(n, sets)
+
+    elif kind in ("spanning", "bases"):
+        if not sets:
             raise ValueError(f"{kind} description lists no sets")
-        bases = minimal_sets(desc.sets) if kind == "spanning" else list(desc.sets)
-        return MatroidView(
-            n,
-            indep=lambda a: any(a & b == a for b in bases),
-            table_source=source,
-            name=name,
-        )
+        bases = minimal_sets(sets) if kind == "spanning" else list(sets)
 
-    if kind == "flats":
-        def flat_rank(a: int) -> int:
+        def indep(a: int) -> bool:
+            return any(a & b == a for b in bases)
+
+        def source() -> np.ndarray:
+            return tables.down_closure(tables.indicator(n, bases), n)
+
+    elif kind in ("circuits", "nsc"):
+        # independent: at most r elements and no listed circuit inside
+        r = n if kind == "circuits" else desc.r
+
+        def indep(a: int) -> bool:
+            return a.bit_count() <= r and not any(a & c == c for c in sets)
+
+        def source() -> np.ndarray:
+            return ~tables.up_closure(tables.indicator(n, sets), n) & (tables.popcounts(n) <= r)
+
+    elif kind in ("hyperplanes", "dephyp"):
+        co = to_view(dual(desc))
+
+        def indep(a: int) -> bool:
+            return co.rank(full & ~a) == co.full_rank
+
+        def source() -> np.ndarray:
+            co_rank = tables.rank_table(co)
+            # full ^ m == 2^n - 1 - m, so the reversal reads r*(E - A)
+            return co_rank[::-1] == co_rank[-1]
+
+    elif kind == "flats":
+        if full not in sets:
+            raise ValueError("flats description does not list the ground set")
+        heights = _flat_heights(sets)
+
+        def rank(a: int) -> int:
             closed = full
-            for f in desc.sets:
+            for f in sets:
                 if a & f == a:
                     closed &= f
             if closed not in heights:
                 raise _unlisted_intersection(n, closed)
             return heights[closed]
 
-        return MatroidView(n, rank=flat_rank, table_source=source, name=name)
+        def source() -> np.ndarray:
+            closure = _flat_closure(n, sets)
+            height_of = np.full(1 << n, -1, dtype=np.int8)
+            height_of[np.fromiter(heights, dtype=np.int64)] = list(heights.values())
+            ranks = height_of[closure]
+            if ranks.min() < 0:
+                raise _unlisted_intersection(n, int(closure[np.argmin(ranks)]))
+            return from_rank(ranks)
 
-    def circuit_rule(circuits: Sequence[int], r: int):
-        """Independent: at most r elements and no listed circuit inside."""
-        return lambda a: a.bit_count() <= r and not any(a & c == c for c in circuits)
-
-    if kind in ("circuits", "nsc"):
-        r = n if kind == "circuits" else desc.r
-        indep = circuit_rule(desc.sets, r)
-        return MatroidView(n, indep=indep, table_source=source, name=name)
-
-    if kind in ("hyperplanes", "dephyp"):
-        dual_r = n if kind == "hyperplanes" else n - desc.r
-        dual = MatroidView(n, indep=circuit_rule([full & ~h for h in desc.sets], dual_r))
-
-        def indep(a: int) -> bool:
-            # A is independent iff E - A spans the dual
-            return dual.rank(full & ~a) == dual.full_rank
-
-        return MatroidView(n, indep=indep, table_source=source, name=name)
-
-    if kind == "cyclicflats":
-        pairs = list(zip(desc.sets, desc.set_ranks))
+    elif kind == "cyclicflats":
+        # r(A) = min over listed Z of r(Z) + |A - Z|
+        pairs = list(zip(sets, desc.set_ranks))
         if not pairs:
             raise ValueError("cyclic-flats description lists no sets")
 
         def rank(a: int) -> int:
             return min(rz + (a & ~z).bit_count() for z, rz in pairs)
 
-        return MatroidView(n, rank=rank, table_source=source, name=name)
+        def source() -> np.ndarray:
+            pc = tables.popcounts(n)
+            masks = np.arange(1 << n, dtype=np.int32)
+            ranks = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
+            for z, rz in pairs:
+                np.minimum(ranks, pc[masks & (full ^ z)] + np.int8(rz), out=ranks)
+            return from_rank(ranks)
 
-    raise ValueError(f"unknown description kind {kind!r}")
+    else:
+        raise ValueError(f"unknown description kind {kind!r}")
+
+    return MatroidView(n, indep=indep, rank=rank, table_source=source, name=f"{kind}[n={n}]")
 
 
 def encode_from_oracle(view: MatroidView, kind: str) -> Description:

@@ -11,18 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import tables
 from .bitsets import elements, from_elements, full_mask, maximal_sets
 from .core import MatroidView, contract_circuits, relabel, restrict_circuits
-from .descriptions import Description, description, encode_from_oracle, int_records, to_view
+from .descriptions import Description, description, dual, encode_from_oracle, int_records, to_view
 from .families import MultiGraph, phi, phi_r, subdivision_length
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 # -- matroid isomorphism -------------------------------------------------
@@ -164,10 +161,12 @@ def detect_minor_fixed(
     description.
 
     Searches size-|N| element subsets A combined with unions of t host
-    circuits (t = number of pattern circuits); the contract set is the
-    part x of a union outside A.  The minor itself is built by the
-    circuit contraction/deletion rules.  Hyperplane hosts are handled by
-    dualising both matroids.  A host rank table is memoised as a
+    circuits (t = number of pattern circuits; a free pattern has t = 0
+    and the empty union alone); the contract set is the part x of a
+    union outside A.  The minor itself is built by the circuit
+    contraction/deletion rules.  Hyperplane hosts are handled by
+    dualising both matroids (:func:`~matroidkit.descriptions.dual` for
+    the host).  A host rank table is memoised as a
     desk-scale accelerator for the rank prefilter.
 
     Cost: the unions take one pass over a ``2**n`` boolean table per
@@ -179,9 +178,7 @@ def detect_minor_fixed(
     is built.
     """
     if host.kind == "hyperplanes":
-        full = full_mask(host.n)
-        dual_host = description("circuits", host.n, [full & ~h for h in host.sets])
-        w = detect_minor_fixed(dual_host, pattern.dual())
+        w = detect_minor_fixed(dual(host), pattern.dual())
         if w is None:
             return None
         # (M* / X \ Y)* = M / Y \ X, with the same element bijection
@@ -194,23 +191,10 @@ def detect_minor_fixed(
     s = pattern.n
     if s > n:
         return None
-    host_view = to_view(host)
-    rt = tables.rank_table(host_view)
+    rt = tables.rank_table(to_view(host))
     pattern_circuits = tables.family_masks(pattern, "circuits")
     t = len(pattern_circuits)
     pr = pattern.full_rank
-
-    if t == 0:
-        # free pattern: present iff the host rank reaches the pattern size
-        if int(rt[full]) < s:
-            return None
-        basis = host_view.basis_of(full)
-        amask = 0
-        for e in elements(basis):
-            amask |= 1 << e
-            if amask.bit_count() == s:
-                break
-        return MinorWitness(x=0, y=full & ~amask, iso=tuple(range(s)))
 
     host_circuits = list(host.sets)
     if len(host_circuits) < t:
@@ -314,32 +298,44 @@ class EncodedBipartiteGraph:
     unlabelled graph determines every vertex's role: the anchor carries
     three marker triangles, each set-vertex one, and rank values hang
     off their owners as paths (length = bit position + 1) ending in a
-    double triangle.  ``roles`` records the intended role of every
-    vertex for self-checks only.
+    double triangle.  ``roles`` lists every vertex, in the order it was
+    added, with its intended role (for self-checks only); ``edges``
+    holds each edge once.
     """
 
-    graph: nx.Graph
+    edges: Set[Tuple[object, object]]
     roles: Dict[object, str]
 
+    @property
+    def graph(self):
+        """The encoding as a ``networkx.Graph``; the only networkx use,
+        imported here because it is slow to import."""
+        import networkx as nx
 
-def _attach_triangle(g: nx.Graph, roles, hub, tag) -> None:
+        g = nx.Graph()
+        g.add_nodes_from(self.roles)
+        g.add_edges_from(self.edges)
+        return g
+
+
+def _attach_triangle(enc: EncodedBipartiteGraph, hub, tag) -> None:
     t0, t1 = ("t", tag, 0), ("t", tag, 1)
-    g.add_edges_from([(hub, t0), (hub, t1), (t0, t1)])
-    roles[t0] = roles[t1] = "gadget"
+    enc.roles[t0] = enc.roles[t1] = "gadget"
+    enc.edges.update([(hub, t0), (hub, t1), (t0, t1)])
 
 
-def _attach_rank_branches(g: nx.Graph, roles, hub, value: int, tag) -> None:
+def _attach_rank_branches(enc: EncodedBipartiteGraph, hub, value: int, tag) -> None:
     for p in range(value.bit_length()):
         if not value >> p & 1:
             continue
         prev = hub
         for j in range(p + 1):
             node = ("b", tag, p, j)
-            g.add_edge(prev, node)
-            roles[node] = "gadget"
+            enc.roles[node] = "gadget"
+            enc.edges.add((prev, node))
             prev = node
-        _attach_triangle(g, roles, prev, ("b", tag, p, "end0"))
-        _attach_triangle(g, roles, prev, ("b", tag, p, "end1"))
+        _attach_triangle(enc, prev, ("b", tag, p, "end0"))
+        _attach_triangle(enc, prev, ("b", tag, p, "end1"))
 
 
 def encode_bipartite(desc: Description) -> EncodedBipartiteGraph:
@@ -350,32 +346,24 @@ def encode_bipartite(desc: Description) -> EncodedBipartiteGraph:
     the ground set, and rank data (per-set or header) is encoded in
     unary-of-binary branch gadgets.
     """
-    import networkx as nx  # deferred: the only networkx user, slow to import
-
-    g = nx.Graph()
-    roles: Dict[object, str] = {}
     anchor = ("anchor",)
-    g.add_node(anchor)
-    roles[anchor] = "anchor"
+    enc = EncodedBipartiteGraph(edges=set(), roles={anchor: "anchor"})
     for e in range(desc.n):
         node = ("e", e)
-        g.add_edge(anchor, node)
-        roles[node] = "element"
-    _attach_triangle(g, roles, anchor, ("anchor", 0))
-    _attach_triangle(g, roles, anchor, ("anchor", 1))
-    _attach_triangle(g, roles, anchor, ("anchor", 2))
+        enc.roles[node] = "element"
+        enc.edges.add((anchor, node))
+    for i in range(3):
+        _attach_triangle(enc, anchor, ("anchor", i))
     if desc.r is not None:
-        _attach_rank_branches(g, roles, anchor, desc.r, "anchor")
+        _attach_rank_branches(enc, anchor, desc.r, "anchor")
     for idx, mask in enumerate(desc.sets):
         node = ("s", idx)
-        g.add_node(node)
-        roles[node] = "set"
-        for e in elements(mask):
-            g.add_edge(node, ("e", e))
-        _attach_triangle(g, roles, node, ("s", idx))
+        enc.roles[node] = "set"
+        enc.edges.update((node, ("e", e)) for e in elements(mask))
+        _attach_triangle(enc, node, ("s", idx))
         if desc.set_ranks is not None:
-            _attach_rank_branches(g, roles, node, desc.set_ranks[idx], ("s", idx))
-    return EncodedBipartiteGraph(graph=g, roles=roles)
+            _attach_rank_branches(enc, node, desc.set_ranks[idx], ("s", idx))
+    return enc
 
 
 # -- 3-matroid intersection ----------------------------------------------

@@ -14,6 +14,7 @@ from matroidkit import (
     validate,
 )
 from matroidkit.bitsets import format_bits
+from matroidkit.descriptions import dual
 from matroidkit.tables import views_equal
 
 from conftest import corpus_params
@@ -234,3 +235,32 @@ def test_validate_rejects_non_hereditary_independent_sets():
     report = validate(description("independent", 2, [0b00, 0b11]))
     assert not report.ok
     assert any(f.startswith("matroid-hereditary: ") for f in report.failures)
+
+
+# -- listed duality ------------------------------------------------------
+
+#: The kinds whose dual is listed by the complemented sets.
+DUAL_KINDS = ("bases", "circuits", "hyperplanes", "nsc", "dephyp")
+
+
+@pytest.mark.parametrize("kind", DUAL_KINDS)
+@pytest.mark.parametrize("view", corpus_params())
+def test_dual_is_an_involution(view, kind):
+    d = encode_from_oracle(view, kind)
+    assert dual(dual(d)) == d
+
+
+@pytest.mark.parametrize("kind", DUAL_KINDS)
+@pytest.mark.parametrize("view", corpus_params())
+def test_dual_lists_the_table_dual(view, kind):
+    d = encode_from_oracle(view, kind)
+    co = dual(d)
+    assert views_equal(to_view(co), to_view(d).dual())
+    # and lists it canonically, as re-encoding the table dual would
+    assert co == encode_from_oracle(view.dual(), co.kind)
+
+
+@pytest.mark.parametrize("kind", sorted(set(KINDS) - set(DUAL_KINDS)))
+def test_dual_refuses_kinds_without_a_listed_dual(kind):
+    with pytest.raises(ValueError, match=kind):
+        dual(encode_from_oracle(uniform(2, 4), kind))

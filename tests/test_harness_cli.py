@@ -360,3 +360,40 @@ def test_cli_convert_cyclicflats_rejects_non_matroid_without_asserts(tmp_path):
     )
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("error: ") and "(not a matroid)" in out.stderr
+
+
+#: Free patterns on a matroid host and on a non-matroid one.
+FREE_PATTERN_CASES = {
+    "empty-pattern": (serialize(encode_from_oracle(uniform(2, 4), "circuits")),
+                      "matroid circuits n=0\n", "contract 0000\ndelete   1111\nmap \n"),
+    "non-matroid-host": ("matroid circuits n=3\n110\n101\n", "matroid circuits n=2\n",
+                         "contract 000\ndelete   100\nmap 0->0 1->1\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREE_PATTERN_CASES))
+def test_cli_minor_free_pattern_witness(tmp_path, capsys, name):
+    host_text, pattern_text, want = FREE_PATTERN_CASES[name]
+    host = _write(tmp_path, "host.txt", host_text)
+    pattern = _write(tmp_path, "pattern.txt", pattern_text)
+    assert main(["minor", "--host", host, "--pattern", pattern]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("kind", ["cyclicflats", "dephyp"])
+def test_cli_iso_encode_leaves_networkx_unloaded(tmp_path, kind):
+    f = _write(tmp_path, f"u24.{kind}.txt", serialize(encode_from_oracle(uniform(2, 4), kind)))
+    out_file = tmp_path / "encoded.txt"
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys; from matroidkit.cli import main; "
+        "code = main(['iso', '--encode', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, 'networkx' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code, f, str(out_file)], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]
+    assert out_file.read_text().startswith("graph n=")

@@ -13,6 +13,7 @@ from matroidkit import (
     intersect3_bruteforce,
     isomorphic,
     multigraph,
+    parse,
     parse_3dm,
     phi,
     phi_r,
@@ -142,6 +143,19 @@ def test_verify_minor_witness_rejects_wrong_length_iso():
         assert not verify_minor_witness(host, pattern, MinorWitness(w.x, w.y, iso))
 
 
+def test_minor_fixed_free_patterns_give_valid_witnesses():
+    # the empty pattern is M \ E, as the exhaustive search finds it
+    host = encode_from_oracle(uniform(2, 4), "circuits")
+    w = detect_minor_fixed(host, uniform(0, 0))
+    assert w == MinorWitness(x=0, y=0b1111, iso=())
+    assert w == detect_minor_exhaustive(to_view(host), uniform(0, 0))
+    # a non-matroid host: U(2,2) is the deletion of element 0 alone
+    host = parse("matroid circuits n=3\n110\n101\n")
+    w = detect_minor_fixed(host, uniform(2, 2))
+    assert w == MinorWitness(x=0, y=0b001, iso=(0, 1))
+    assert verify_minor_witness(to_view(host), uniform(2, 2), w)
+
+
 def test_distinct_unions():
     circuits = [0b011, 0b110, 0b101]
     assert _distinct_unions(circuits, 1) == [0b011, 0b101, 0b110]
@@ -164,6 +178,14 @@ def test_encode_bipartite_single_set():
     assert tri[("anchor",)] == 3
     assert tri[("s", 0)] == 1
     assert tri[("e", 0)] == 0
+
+
+def test_encode_bipartite_graph_is_built_from_roles_and_edges():
+    encoded = encode_bipartite(encode_from_oracle(separation_family("L17", 2), "cyclicflats"))
+    g = encoded.graph
+    assert list(g.nodes) == list(encoded.roles)
+    assert g.number_of_edges() == len(encoded.edges)
+    assert all(g.has_edge(u, w) for u, w in encoded.edges)
 
 
 def _encoded_graph(view):

@@ -3,7 +3,8 @@ replace, copied here as references: the all-triples scan for
 ``intersect3_bases``, the per-x loop for ``detect_minor_exhaustive`` and
 the per-union loop with a fresh circuit contraction for
 ``detect_minor_fixed``.  Each route must find the same answer, and the
-minor searches the very same witness."""
+minor searches the very same witness.  Free patterns U(s, s) have no
+reference here; their witnesses are checked by ``verify_minor_witness``."""
 
 import tracemalloc
 from functools import reduce
@@ -24,6 +25,7 @@ from matroidkit import (
     phi,
     to_view,
     uniform,
+    verify_minor_witness,
 )
 from matroidkit import reductions, tables
 from matroidkit.bitsets import elements, from_elements, full_mask, submasks
@@ -234,3 +236,29 @@ def test_minor_exhaustive_memory_is_bounded_by_the_block(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 32 << 10
+
+
+# -- free patterns -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["circuits", "hyperplanes"])
+@pytest.mark.parametrize("host", minor_host_params())
+def test_minor_fixed_free_pattern_witnesses_verify(host, kind):
+    # U(s, s) is a minor exactly when some s elements are independent
+    desc = encode_from_oracle(host, kind)
+    for s in range(host.n + 1):
+        pattern = uniform(s, s)
+        w = detect_minor_fixed(desc, pattern)
+        assert (w is not None) == (s <= host.full_rank), s
+        assert w is None or verify_minor_witness(host, pattern, w), (s, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit_antichains())
+def test_minor_fixed_free_pattern_witnesses_verify_on_antichains(drawn):
+    host, _ = drawn
+    view = to_view(host)
+    for s in range(host.n + 1):
+        pattern = uniform(s, s)
+        w = detect_minor_fixed(host, pattern)
+        assert w is None or verify_minor_witness(view, pattern, w), (s, w)
