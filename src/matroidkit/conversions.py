@@ -1,8 +1,8 @@
 """Constructive conversions between description kinds.
 
-The twelve directed edges below form the Hasse diagram of the
-polynomial-time convertibility order on the ten kinds.  Each edge has a
-listed-data algorithm that never enumerates the whole subset lattice;
+The twelve directed edges of the Hasse diagram of the polynomial-time
+convertibility order on the ten kinds are the rows of ``_RULES``.  Each
+row's listed-data algorithm never enumerates the whole subset lattice;
 pairs without a lattice path fall back to exhaustive re-encoding, and
 the planner reports which route was taken.
 
@@ -26,29 +26,12 @@ canonical sort of its output:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import tables
 from .bitsets import canonical_key, elements, full_mask, maximal_sets, minimal_sets
 from .descriptions import Description, description, dual, encode_from_oracle, to_view
 from .core import MatroidView
-
-#: Directed cover edges of the convertibility order, in declaration
-#: order (used to break shortest-path ties deterministically).
-EDGES: Tuple[Tuple[str, str], ...] = (
-    ("rank", "spanning"),
-    ("rank", "independent"),
-    ("spanning", "bases"),
-    ("independent", "bases"),
-    ("independent", "flats"),
-    ("bases", "circuits"),
-    ("bases", "cyclicflats"),
-    ("bases", "hyperplanes"),
-    ("flats", "cyclicflats"),
-    ("flats", "hyperplanes"),
-    ("circuits", "nsc"),
-    ("hyperplanes", "dephyp"),
-)
 
 
 class PlanError(ValueError):
@@ -69,39 +52,6 @@ class ConversionPlan:
         return " -> ".join(kinds)
 
 
-def reachable(src: str, dst: str) -> bool:
-    return not plan(src, dst).exhaustive
-
-
-def plan(src: str, dst: str) -> ConversionPlan:
-    """Shortest lattice path, or the exhaustive marker if there is none.
-
-    Breadth-first search expanding edges in declaration order, so ties
-    resolve deterministically.
-    """
-    if src == dst:
-        return ConversionPlan(steps=())
-    parents: Dict[str, Tuple[str, str]] = {}
-    frontier = [src]
-    while frontier and dst not in parents:
-        nxt: List[str] = []
-        for kind in frontier:
-            for a, b in EDGES:
-                if a == kind and b not in parents and b != src:
-                    parents[b] = (a, b)
-                    nxt.append(b)
-        frontier = nxt
-    if dst not in parents:
-        return ConversionPlan(steps=(), exhaustive=True)
-    steps = []
-    kind = dst
-    while kind != src:
-        edge = parents[kind]
-        steps.append(edge)
-        kind = edge[0]
-    return ConversionPlan(steps=tuple(reversed(steps)))
-
-
 # -- per-edge algorithms -------------------------------------------------
 
 
@@ -119,6 +69,20 @@ def _fundamental_circuits(bases: List[int], n: int) -> List[int]:
                     c |= 1 << f
             circuits.add(c)
     return sorted(circuits, key=canonical_key)
+
+
+def _independent_to_flats(desc: Description) -> Description:
+    """Close each independent set by the elements that make it unlisted."""
+    listed = set(desc.sets)
+    full = full_mask(desc.n)
+    flats = set()
+    for ind in desc.sets:
+        cl = ind
+        for e in elements(full & ~ind):
+            if ind | (1 << e) not in listed:
+                cl |= 1 << e
+        flats.add(cl)
+    return description("flats", desc.n, sorted(flats))
 
 
 def _bases_to_cyclicflats(desc: Description) -> Description:
@@ -152,6 +116,14 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
     return description("cyclicflats", desc.n, cyclic, [view.rank(z) for z in cyclic])
 
 
+def _flats_to_cyclicflats(desc: Description) -> Description:
+    """The flats F with no element e for which F - e is listed, ranked."""
+    listed = set(desc.sets)
+    view = to_view(desc)
+    keep = [f for f in desc.sets if not any(f & ~(1 << e) in listed for e in elements(f))]
+    return description("cyclicflats", desc.n, keep, [view.rank(f) for f in keep])
+
+
 def _non_spanning(circuits: Description) -> Description:
     """The circuits of at most the matroid's rank, with that rank."""
     r = to_view(circuits).full_rank
@@ -159,75 +131,71 @@ def _non_spanning(circuits: Description) -> Description:
     return description("nsc", circuits.n, sets, r=r)
 
 
+#: The directed cover edges of the convertibility order, each with its
+#: rule, in declaration order (which breaks shortest-path ties).  A rank
+#: description lists every subset in canonical order, so r(E) is last.
+_RULES: Dict[Tuple[str, str], Callable[[Description], Description]] = {
+    ("rank", "spanning"): lambda d: description(
+        "spanning", d.n, [m for m, rk in zip(d.sets, d.set_ranks) if rk == d.set_ranks[-1]]
+    ),
+    ("rank", "independent"): lambda d: description(
+        "independent", d.n, [m for m, rk in zip(d.sets, d.set_ranks) if rk == m.bit_count()]
+    ),
+    ("spanning", "bases"): lambda d: description("bases", d.n, minimal_sets(d.sets)),
+    ("independent", "bases"): lambda d: description("bases", d.n, maximal_sets(d.sets)),
+    ("independent", "flats"): _independent_to_flats,
+    ("bases", "circuits"): lambda d: description(
+        "circuits", d.n, _fundamental_circuits(list(d.sets), d.n)
+    ),
+    ("bases", "cyclicflats"): _bases_to_cyclicflats,
+    # the hyperplanes are the complements of the dual's circuits
+    ("bases", "hyperplanes"): lambda d: dual(
+        description("circuits", d.n, _fundamental_circuits(list(dual(d).sets), d.n))
+    ),
+    ("flats", "cyclicflats"): _flats_to_cyclicflats,
+    # the hyperplanes are the maximal proper flats
+    ("flats", "hyperplanes"): lambda d: description(
+        "hyperplanes", d.n, maximal_sets([f for f in d.sets if f != full_mask(d.n)])
+    ),
+    ("circuits", "nsc"): _non_spanning,
+    # the dependent hyperplanes are the complements of the dual's nsc
+    ("hyperplanes", "dephyp"): lambda d: dual(_non_spanning(dual(d))),
+}
+
+EDGES: Tuple[Tuple[str, str], ...] = tuple(_RULES)
+
+
+def reachable(src: str, dst: str) -> bool:
+    return not plan(src, dst).exhaustive
+
+
+def plan(src: str, dst: str) -> ConversionPlan:
+    """Shortest lattice path, or the exhaustive marker if there is none.
+
+    Breadth-first search from ``src`` that expands each kind's edges in
+    ``EDGES`` order and keeps the first path found to every kind, so
+    ties resolve deterministically.
+    """
+    paths: Dict[str, Tuple[Tuple[str, str], ...]] = {src: ()}
+    queue = [src]
+    for kind in queue:  # grows while it is read: a FIFO queue
+        for edge in EDGES:
+            if edge[0] == kind and edge[1] not in paths:
+                paths[edge[1]] = paths[kind] + (edge,)
+                queue.append(edge[1])
+    if dst not in paths:
+        return ConversionPlan(steps=(), exhaustive=True)
+    return ConversionPlan(steps=paths[dst])
+
+
 def convert_edge(desc: Description, target: str) -> Description:
-    """Apply a lattice edge's algorithm; the module docstring gives its cost."""
-    if (desc.kind, target) not in EDGES:
+    """Apply the rule of the lattice edge ``desc.kind -> target``; the
+    module docstring gives its cost.  ``PlanError`` if there is no such
+    edge."""
+    rule = _RULES.get((desc.kind, target))
+    if rule is None:
         raise PlanError(f"{desc.kind} -> {target} is not a lattice edge")
-    n = desc.n
-    full = full_mask(n)
-
-    if desc.kind == "rank":
-        pairs = list(zip(desc.sets, desc.set_ranks))
-        r = dict(pairs)[full]
-        if target == "spanning":
-            return description("spanning", n, [m for m, rk in pairs if rk == r])
-        if target == "independent":
-            return description(
-                "independent", n, [m for m, rk in pairs if rk == m.bit_count()]
-            )
-
-    if desc.kind == "spanning" and target == "bases":
-        return description("bases", n, minimal_sets(desc.sets))
-
-    if desc.kind == "independent":
-        listed = set(desc.sets)
-        if target == "bases":
-            return description("bases", n, maximal_sets(desc.sets))
-        if target == "flats":
-            flats = set()
-            for ind in desc.sets:
-                cl = ind
-                for e in elements(full & ~ind):
-                    if ind | (1 << e) not in listed:
-                        cl |= 1 << e
-                flats.add(cl)
-            return description("flats", n, sorted(flats))
-
-    if desc.kind == "bases":
-        if target == "circuits":
-            return description(
-                "circuits", n, _fundamental_circuits(list(desc.sets), n)
-            )
-        if target == "hyperplanes":
-            # the hyperplanes are the complements of the dual's circuits
-            cocircuits = _fundamental_circuits(list(dual(desc).sets), n)
-            return dual(description("circuits", n, cocircuits))
-        if target == "cyclicflats":
-            return _bases_to_cyclicflats(desc)
-
-    if desc.kind == "flats":
-        listed = set(desc.sets)
-        if target == "hyperplanes":
-            # the hyperplanes are the maximal proper flats
-            proper = [f for f in desc.sets if f != full]
-            return description("hyperplanes", n, maximal_sets(proper))
-        if target == "cyclicflats":
-            view = to_view(desc)
-            keep = [
-                f
-                for f in desc.sets
-                if not any(f & ~(1 << e) in listed for e in elements(f))
-            ]
-            return description("cyclicflats", n, keep, [view.rank(f) for f in keep])
-
-    if desc.kind == "circuits" and target == "nsc":
-        return _non_spanning(desc)
-
-    if desc.kind == "hyperplanes" and target == "dephyp":
-        # the dependent hyperplanes are the complements of the dual's nsc
-        return dual(_non_spanning(dual(desc)))
-
-    raise PlanError(f"{desc.kind} -> {target} is not a lattice edge")
+    return rule(desc)
 
 
 def convert(desc: Description, to: str) -> Tuple[Description, ConversionPlan]:

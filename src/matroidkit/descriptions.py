@@ -355,7 +355,8 @@ def to_view(desc: Description) -> MatroidView:
             return co.rank(full & ~a) == co.full_rank
 
         def source() -> np.ndarray:
-            co_rank = tables.rank_table(co)
+            # rank_table(co) would cache two tables on co, kept alive here
+            co_rank = tables.rank_from_independence(co.table_source(), n)
             # full ^ m == 2^n - 1 - m, so the reversal reads r*(E - A)
             return co_rank[::-1] == co_rank[-1]
 

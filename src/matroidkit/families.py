@@ -27,6 +27,8 @@ class MultiGraph:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.v < 0:
+            raise ValueError(f"negative vertex count {self.v}")
         for u, w in self.edges:
             if not (0 <= u < self.v and 0 <= w < self.v):
                 raise ValueError(f"edge ({u}, {w}) outside {self.v} vertices")

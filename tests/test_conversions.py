@@ -2,6 +2,8 @@ import pytest
 
 from matroidkit import (
     EDGES,
+    KINDS,
+    Description,
     PlanError,
     convert,
     convert_edge,
@@ -17,7 +19,7 @@ from matroidkit import (
     to_view,
     uniform,
 )
-from matroidkit.conversions import _fundamental_circuits
+from matroidkit.conversions import _RULES, _fundamental_circuits
 from matroidkit.tables import family_masks
 
 from conftest import corpus_params
@@ -55,6 +57,50 @@ def test_rank_reaches_everything():
         assert reachable("rank", kind), kind
 
 
+def _level_bfs(src, dst):
+    """Level-by-level search with a parents map and a walk back from
+    ``dst``: the planner's earlier form, kept as a reference."""
+    if src == dst:
+        return ()
+    parents = {}
+    frontier = [src]
+    while frontier and dst not in parents:
+        nxt = []
+        for kind in frontier:
+            for a, b in EDGES:
+                if a == kind and b not in parents and b != src:
+                    parents[b] = (a, b)
+                    nxt.append(b)
+        frontier = nxt
+    if dst not in parents:
+        return None
+    steps = []
+    kind = dst
+    while kind != src:
+        steps.append(parents[kind])
+        kind = parents[kind][0]
+    return tuple(reversed(steps))
+
+
+@pytest.mark.parametrize("src", KINDS)
+def test_plan_matches_the_level_by_level_search(src):
+    for dst in KINDS:
+        expected = _level_bfs(src, dst)
+        route = plan(src, dst)
+        if expected is None:
+            assert route.exhaustive and route.steps == (), dst
+        else:
+            assert not route.exhaustive and route.steps == expected, dst
+
+
+NON_EDGES = [(a, b) for a in KINDS for b in KINDS if (a, b) not in EDGES]
+
+
+def test_edges_are_the_rule_table():
+    assert EDGES == tuple(_RULES)
+    assert len(NON_EDGES) == 10 * 10 - 12
+
+
 # -- edge algorithms -----------------------------------------------------
 
 
@@ -70,6 +116,23 @@ def test_convert_edge_rejects_non_edges():
     d = encode_from_oracle(uniform(2, 3), "bases")
     with pytest.raises(PlanError):
         convert_edge(d, "rank")
+
+
+@pytest.mark.parametrize("pair", NON_EDGES, ids=lambda e: f"{e[0]}->{e[1]}")
+def test_convert_edge_names_every_non_edge(pair):
+    src, dst = pair
+    d = encode_from_oracle(uniform(2, 3), src)
+    with pytest.raises(PlanError, match=f"^{src} -> {dst} is not a lattice edge$"):
+        convert_edge(d, dst)
+
+
+@pytest.mark.parametrize("view", corpus_params())
+@pytest.mark.parametrize("edge", EDGES, ids=lambda e: f"{e[0]}->{e[1]}")
+def test_each_rule_returns_its_target_kind(view, edge):
+    src, dst = edge
+    out = _RULES[edge](encode_from_oracle(view, src))
+    assert isinstance(out, Description)
+    assert (out.kind, out.n) == (dst, view.n)
 
 
 def test_fundamental_circuits_are_exactly_the_circuits():

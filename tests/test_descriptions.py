@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from matroidkit import (
     KINDS,
     ParseError,
     description,
+    direct_sum,
     encode_from_oracle,
     parse,
     semantically_equal,
@@ -15,7 +19,7 @@ from matroidkit import (
 )
 from matroidkit.bitsets import format_bits
 from matroidkit.descriptions import dual
-from matroidkit.tables import views_equal
+from matroidkit.tables import rank_table, views_equal
 
 from conftest import corpus_params
 
@@ -264,3 +268,22 @@ def test_dual_lists_the_table_dual(view, kind):
 def test_dual_refuses_kinds_without_a_listed_dual(kind):
     with pytest.raises(ValueError, match=kind):
         dual(encode_from_oracle(uniform(2, 4), kind))
+
+
+@pytest.mark.parametrize("kind", ["hyperplanes", "dephyp"])
+def test_hyperplane_side_view_keeps_no_table_of_its_dual(kind):
+    # U(2,8) + U(2,8) has 16 hyperplanes, every one of them dependent
+    desc = encode_from_oracle(direct_sum(uniform(2, 8), uniform(2, 8)), kind)
+    rank_table(to_view(desc))  # fill the shared per-n caches first
+    tracemalloc.start()
+    try:
+        view = to_view(desc)
+        ranks = rank_table(view)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the view's own independence and rank tables take 2 * 2^16 bytes;
+    # two more tables cached on the dual it decodes through would be 4
+    assert ranks.nbytes == 1 << 16
+    assert held < 3 << 16

@@ -44,6 +44,13 @@ def test_multigraph_normalization_and_checks():
         multigraph(2, [(0, 2)])
 
 
+def test_multigraph_refuses_a_negative_vertex_count():
+    with pytest.raises(ValueError, match=r"^negative vertex count -3$"):
+        multigraph(-3, [])
+    with pytest.raises(ValueError, match=r"^negative vertex count -3$"):
+        parse_graph("graph n=-3\n")
+
+
 def test_graph_text_roundtrip():
     text = "graph n=3\n0 1\n1 2\n"
     g = parse_graph(text)

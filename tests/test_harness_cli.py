@@ -249,6 +249,14 @@ def test_cli_error_paths(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_gen_bicircular_refuses_a_negative_vertex_count(tmp_path, capsys):
+    f = _write(tmp_path, "neg.graph", "graph n=-3\n")
+    assert main(["gen", "bicircular", f]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: negative vertex count -3\n"
+
+
 @pytest.mark.parametrize("kind", ["rank", "cyclicflats"])
 def test_cli_names_the_line_of_an_out_of_range_set_rank(tmp_path, capsys, kind):
     f = _write(tmp_path, "ranks.txt", f"matroid {kind} n=1\n0:0\n1:5\n")
