@@ -9,36 +9,23 @@ round trip whose two sides disagree.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
-from . import conversions, harness, reductions
+# Only numpy-free names at module level: each handler imports the modules
+# its subcommand needs, so a command loads no more than it runs.
+from . import FAMILY_TAGS, KINDS
 from .bitsets import CapacityError, format_bits
-from .descriptions import (
-    KINDS,
-    Description,
-    encode_from_oracle,
-    parse,
-    serialize,
-    to_view,
-    validate,
-)
-from .families import (
-    FAMILY_TAGS,
-    bicircular,
-    parse_graph,
-    phi,
-    phi_r,
-    separation_family,
-    uniform,
-)
 
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_description(path: str) -> Description:
+def _load_description(path: str):
+    from .descriptions import parse
+
     return parse(_read(path))
 
 
@@ -49,7 +36,7 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _print_witness(w: reductions.MinorWitness, n: int) -> None:
+def _print_witness(w, n: int) -> None:
     print(f"contract {format_bits(w.x, n)}")
     print(f"delete   {format_bits(w.y, n)}")
     print("map " + " ".join(f"{i}->{p}" for i, p in enumerate(w.iso)))
@@ -59,24 +46,32 @@ def _print_witness(w: reductions.MinorWitness, n: int) -> None:
 
 
 def _cmd_convert(args) -> int:
+    from .conversions import convert
+    from .descriptions import encode_from_oracle, serialize, to_view
+
     desc = _load_description(args.infile)
     if args.force_exhaustive:
         out = encode_from_oracle(to_view(desc), args.to)
         print("plan: exhaustive (forced)", file=sys.stderr)
     else:
-        out, route = conversions.convert(desc, args.to)
+        out, route = convert(desc, args.to)
         print(f"plan: {route.describe()}", file=sys.stderr)
     _emit(serialize(out), args.out)
     return 0
 
 
 def _cmd_validate(args) -> int:
+    from .descriptions import validate
+
     report = validate(_load_description(args.file))
     print(report)
     return 0 if report.ok else 3
 
 
 def _cmd_gen(args) -> int:
+    from .descriptions import encode_from_oracle, serialize
+    from .families import bicircular, parse_graph, phi, phi_r, separation_family, uniform
+
     if args.what == "uniform":
         view = uniform(args.r, args.n)
     elif args.what == "family":
@@ -92,13 +87,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_minor(args) -> int:
+    from . import reductions
+    from .conversions import convert
+    from .descriptions import to_view
+
     host = _load_description(args.host)
     pattern = to_view(_load_description(args.pattern))
     if args.algorithm == "exhaustive":
         witness = reductions.detect_minor_exhaustive(to_view(host), pattern)
     else:
         if host.kind not in ("circuits", "hyperplanes"):
-            host, route = conversions.convert(host, "circuits")
+            host, route = convert(host, "circuits")
             print(f"host converted to circuits: {route.describe()}", file=sys.stderr)
         witness = reductions.detect_minor_fixed(host, pattern)
     if witness is None:
@@ -109,6 +108,9 @@ def _cmd_minor(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from . import reductions
+    from .descriptions import to_view
+
     if args.encode:
         encoded = reductions.encode_bipartite(_load_description(args.encode))
         nodes = sorted(encoded.roles, key=repr)
@@ -135,6 +137,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_intersect3(args) -> int:
+    from . import reductions
+    from .descriptions import to_view
+
     descs = [_load_description(p) for p in (args.m1, args.m2, args.m3)]
     if args.algorithm == "bases":
         witness = reductions.intersect3_bases(*descs, args.k)
@@ -158,6 +163,10 @@ def _round_trip(agrees: bool) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import reductions
+    from .descriptions import serialize, to_view
+    from .families import parse_graph, uniform
+
     prefix = args.out_prefix
     if args.problem == "3dm":
         ts = reductions.parse_3dm(_read(args.file))
@@ -208,6 +217,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_sizes(args) -> int:
+    from . import harness
+
     low, _, high = args.n_range.partition("..")
     report = harness.measure_family(args.family, int(low), int(high or low))
     if args.csv:
@@ -307,6 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # matroidkit makes no BLAS call, but OpenBLAS starts a worker thread
+    # per CPU when numpy loads, and an idle worker spins on a CPU for the
+    # rest of the command.  Set before any handler loads numpy; a value
+    # the caller chose is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -25,23 +25,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import tables
+from . import KINDS, tables
 from .bitsets import canonical_key, check_ground, check_mask, format_bits, full_mask
 from .bitsets import minimal_sets, parse_bits
 from .core import MatroidView
-
-KINDS = (
-    "rank",
-    "independent",
-    "spanning",
-    "bases",
-    "flats",
-    "circuits",
-    "hyperplanes",
-    "nsc",
-    "dephyp",
-    "cyclicflats",
-)
 
 #: Kinds whose lines carry a per-set rank annotation.
 PER_SET_RANK_KINDS = frozenset({"rank", "cyclicflats"})
@@ -288,12 +275,18 @@ _DUAL_KIND = {
 
 def dual(desc: Description) -> Description:
     """The description of the dual matroid M*: every set complemented,
-    the kind swapped, and a header rank r read as n - r."""
+    the kind swapped, and a header rank r read as n - r.
+
+    Built without :func:`description`: complements of in-range sets are
+    in range, and complementing reverses the canonical order (it maps
+    (|A|, A) to (n - |A|, 2^n - 1 - A)), so the reversed complements are
+    already canonical."""
     if desc.kind not in _DUAL_KIND:
         raise ValueError(f"kind {desc.kind!r} has no listed dual")
     full = full_mask(desc.n)
     r = None if desc.r is None else desc.n - desc.r
-    return description(_DUAL_KIND[desc.kind], desc.n, [full ^ m for m in desc.sets], r=r)
+    sets = tuple(full ^ m for m in reversed(desc.sets))
+    return Description(_DUAL_KIND[desc.kind], desc.n, sets, r=r)
 
 
 def to_view(desc: Description) -> MatroidView:
@@ -408,19 +401,23 @@ def to_view(desc: Description) -> MatroidView:
 
 def encode_from_oracle(view: MatroidView, kind: str) -> Description:
     """Exhaustively re-encode a view as any kind, by classifying every
-    subset against the kind's defining predicate."""
+    subset against the kind's defining predicate.
+
+    Every kind but ``rank`` is built without :func:`description`:
+    :func:`tables.family_masks` returns distinct in-range masks in
+    canonical order, and ranks read off the rank table lie in [0, n]."""
     if kind not in KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
     if kind == "rank":
         rank = tables.rank_table(view)
         return description(kind, view.n, range(1 << view.n), rank.tolist())
     masks = tables.family_masks(view, kind)
+    set_ranks = r = None
     if kind == "cyclicflats":
-        rank = tables.rank_table(view)
-        return description(kind, view.n, masks, [int(rank[m]) for m in masks])
-    if kind in HEADER_RANK_KINDS:
-        return description(kind, view.n, masks, r=view.full_rank)
-    return description(kind, view.n, masks)
+        set_ranks = tuple(tables.rank_table(view)[masks].tolist())
+    elif kind in HEADER_RANK_KINDS:
+        r = view.full_rank
+    return Description(kind, view.n, tuple(masks), set_ranks, r)
 
 
 def semantically_equal(a: Description, b: Description) -> bool:

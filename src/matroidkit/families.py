@@ -12,6 +12,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from . import FAMILY_TAGS
 from .bitsets import check_ground
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
 from .descriptions import description, int_records, to_view
@@ -71,9 +72,6 @@ def uniform(r: int, n: int) -> MatroidView:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
     check_ground(n)
     return MatroidView(n, table_source=lambda: popcounts(n) <= r, name=f"U({r},{n})")
-
-
-FAMILY_TAGS = ("L10", "L11", "L15", "L17", "L18", "L20")
 
 
 def separation_family(tag: str, n: int) -> MatroidView:

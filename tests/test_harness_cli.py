@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -405,3 +406,79 @@ def test_cli_iso_encode_leaves_networkx_unloaded(tmp_path, kind):
     )
     assert out.stdout.split() == ["0", "False"]
     assert out_file.read_text().startswith("graph n=")
+
+
+# -- start-up: each command loads what it runs, on one thread -------------
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: Runs ``main(sys.argv[1:])`` in a fresh interpreter and prints, as its
+#: last line, the exit code, the matroidkit modules loaded, the value of
+#: OPENBLAS_NUM_THREADS and the thread count (None without /proc).
+RUN_MAIN = (
+    "import json, os, sys\n"
+    "from matroidkit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "task = '/proc/self/task'\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('matroidkit')),\n"
+    "    os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+    "    len(os.listdir(task)) if os.path.isdir(task) else None]))\n"
+)
+
+
+def _fresh(code: str, *args: str, blas_threads=None) -> str:
+    """Stdout of ``python -c code args`` with ``src`` on the path and
+    OPENBLAS_NUM_THREADS set to ``blas_threads`` (unset for None)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout
+
+
+def _fresh_main(*argv: str, blas_threads=None):
+    return json.loads(_fresh(RUN_MAIN, *argv, blas_threads=blas_threads).splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["matroidkit", "matroidkit.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    assert _fresh(code).strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["convert", "validate", "gen-uniform"])
+def test_cli_command_leaves_search_and_harness_unloaded(tmp_path, command):
+    f = _write(tmp_path, "u24.txt", serialize(encode_from_oracle(uniform(2, 4), "bases")))
+    argv = {
+        "convert": ["convert", "--in", f, "--to", "circuits", "--out", str(tmp_path / "c.txt")],
+        "validate": ["validate", f],
+        "gen-uniform": ["gen", "uniform", "2", "4", "--out", str(tmp_path / "g.txt")],
+    }[command]
+    code, modules, _, _ = _fresh_main(*argv)
+    assert code == 0
+    assert "matroidkit.descriptions" in modules
+    assert not {"matroidkit.reductions", "matroidkit.harness"} & set(modules)
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_main_sets_one_blas_thread_unless_set(tmp_path, preset, expected):
+    out = str(tmp_path / "g.txt")
+    _, _, value, _ = _fresh_main("gen", "uniform", "2", "4", "--out", out, blas_threads=preset)
+    assert value == expected
+
+
+def test_plain_import_leaves_the_blas_setting_alone():
+    code = "import os, matroidkit.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert _fresh(code).strip() == "None"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_command_runs_on_one_thread(tmp_path):
+    # numpy is loaded by the command; OpenBLAS must start no worker
+    out = str(tmp_path / "g.txt")
+    code, modules, _, threads = _fresh_main("gen", "uniform", "2", "4", "--out", out)
+    assert code == 0 and "matroidkit.tables" in modules
+    assert threads == 1

@@ -17,7 +17,7 @@ from matroidkit import (
 )
 from matroidkit.bitsets import full_mask, masks_of_size, maximal_sets, minimal_sets
 from matroidkit.conversions import convert_edge
-from matroidkit.descriptions import _flat_heights
+from matroidkit.descriptions import _flat_heights, dual
 from matroidkit.tables import views_equal
 
 from conftest import corpus
@@ -222,3 +222,34 @@ def test_flat_heights_are_longest_chains(drawn):
         return memo[f]
 
     assert _flat_heights(sets) == {f: longest_chain_below(f) for f in sets}
+
+
+# -- trusted construction: the library's own descriptions skip the checks --
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_families, st.sampled_from(("bases", "circuits", "hyperplanes", "nsc", "dephyp")),
+       st.data())
+def test_dual_equals_the_checked_route(drawn, kind, data):
+    # any family, matroid or not: dual() trusts only the canonical order
+    n, sets = drawn
+    r = data.draw(st.integers(0, n)) if kind in ("nsc", "dephyp") else None
+    desc = description(kind, n, sets, r=r)
+    got = dual(desc)
+    checked = description(
+        got.kind, n, data.draw(st.permutations([full_mask(n) ^ m for m in sets])),
+        r=None if r is None else n - r,
+    )
+    assert got == checked
+    assert dual(got) == desc
+
+
+@settings(max_examples=60, deadline=None)
+@given(derived_views(), st.sampled_from(KINDS), st.data())
+def test_encode_from_oracle_equals_the_checked_route(view, kind, data):
+    got = encode_from_oracle(view, kind)
+    order = data.draw(st.permutations(range(len(got.sets))))
+    ranks = None if got.set_ranks is None else [got.set_ranks[i] for i in order]
+    checked = description(kind, view.n, [got.sets[i] for i in order], ranks, got.r)
+    assert got == checked
+    assert all(type(m) is int for m in got.sets + (got.set_ranks or ()))

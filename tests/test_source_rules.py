@@ -64,3 +64,48 @@ def test_the_networkx_rule_sees_guarded_and_nested_imports():
         "        return nx.Graph()\n"
     )
     assert _networkx_lines(source) == [2, 4, 6]
+
+
+#: numpy entry points that call BLAS.  ``cli.main`` starts numpy with one
+#: OpenBLAS thread, which costs nothing only while the library makes no
+#: BLAS call.
+BLAS_NAMES = frozenset({"dot", "matmul", "linalg", "einsum", "inner", "vdot", "tensordot"})
+
+
+def _blas_lines(source: str):
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            lines.add(node.lineno)  # np.dot, numpy.linalg.norm, array.dot
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.add(node.lineno)  # a @ b, a @= b
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            if BLAS_NAMES & {*node.module.split("."), *(alias.name for alias in node.names)}:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.linalg") for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_makes_no_blas_call(path):
+    lines = _blas_lines(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name}: BLAS call on line(s) {lines}"
+
+
+def test_the_blas_rule_sees_every_form():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg\n"
+        "from numpy import einsum\n"
+        "from numpy.linalg import norm\n"
+        "x = np.dot(a, b)\n"
+        "y = a @ b\n"
+        "a @= b\n"
+        "def f(m):\n"
+        "    return m.dot(m), np.linalg.norm(m), np.inner(m, m)\n"
+        "z = np.vdot(a, b) + np.tensordot(a, b) + np.matmul(a, b)\n"
+        "ok = np.add.outer(a, b) & a | b\n"
+    )
+    assert _blas_lines(source) == [2, 3, 4, 5, 6, 7, 9, 10]
