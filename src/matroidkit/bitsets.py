@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List
 
 #: Hard ceiling on the ground-set size.  Keeps every mask in one machine
 #: word and every ``2**n`` enumeration affordable.
@@ -88,12 +88,9 @@ def masks_of_size(n: int, k: int) -> Iterator[int]:
         yield from_elements(combo)
 
 
-def canonical_key(mask: int) -> Tuple[int, int]:
-    return mask.bit_count(), mask
-
-
 def canonical_order(sets: Iterable[int], reverse: bool = False) -> List[int]:
-    """``sorted(sets, key=canonical_key)`` by two stable C-keyed sorts."""
+    """Sets sorted by (cardinality, numeric value), the canonical order
+    of a description, by two stable C-keyed sorts."""
     return sorted(sorted(sets, reverse=reverse), key=int.bit_count, reverse=reverse)
 
 

@@ -110,18 +110,15 @@ def _cmd_minor(args) -> int:
 def _cmd_iso(args) -> int:
     from . import reductions
     from .descriptions import to_view
+    from .families import MultiGraph, serialize_graph
 
     if args.encode:
         encoded = reductions.encode_bipartite(_load_description(args.encode))
-        nodes = sorted(encoded.roles, key=repr)
-        index = {node: i for i, node in enumerate(nodes)}
-        lines = [f"graph n={len(nodes)}"]
-        for u, w in sorted(
-            (min(index[a], index[b]), max(index[a], index[b]))
-            for a, b in encoded.edges
-        ):
-            lines.append(f"{u} {w}")
-        _emit("\n".join(lines) + "\n", args.out)
+        index = {node: i for i, node in enumerate(sorted(encoded.roles, key=repr))}
+        edges = sorted(
+            (min(index[a], index[b]), max(index[a], index[b])) for a, b in encoded.edges
+        )
+        _emit(serialize_graph(MultiGraph(len(index), tuple(edges))), args.out)
         return 0
     if not args.a or not args.b:
         print("iso needs two description files (or --encode FILE)", file=sys.stderr)

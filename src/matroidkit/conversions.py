@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from . import tables
-from .bitsets import canonical_key, elements, full_mask, maximal_sets, minimal_sets
-from .descriptions import Description, description, dual, encode_from_oracle, to_view
+from .bitsets import canonical_order, elements, full_mask, maximal_sets, minimal_sets
+from .descriptions import Description, canonical, dual, encode_from_oracle, to_view
 from .core import MatroidView
 
 
@@ -68,7 +68,7 @@ def _fundamental_circuits(bases: List[int], n: int) -> List[int]:
                 if (b | ebit) & ~(1 << f) in listed:
                     c |= 1 << f
             circuits.add(c)
-    return sorted(circuits, key=canonical_key)
+    return canonical_order(circuits)
 
 
 def _independent_to_flats(desc: Description) -> Description:
@@ -82,7 +82,7 @@ def _independent_to_flats(desc: Description) -> Description:
             if ind | (1 << e) not in listed:
                 cl |= 1 << e
         flats.add(cl)
-    return description("flats", desc.n, sorted(flats))
+    return canonical("flats", desc.n, flats)
 
 
 def _bases_to_cyclicflats(desc: Description) -> Description:
@@ -113,7 +113,7 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
             "cyclic-flat working list exceeds the basis count (not a matroid)"
         )
     cyclic = list(found)
-    return description("cyclicflats", desc.n, cyclic, [view.rank(z) for z in cyclic])
+    return canonical("cyclicflats", desc.n, cyclic, [view.rank(z) for z in cyclic])
 
 
 def _flats_to_cyclicflats(desc: Description) -> Description:
@@ -121,40 +121,40 @@ def _flats_to_cyclicflats(desc: Description) -> Description:
     listed = set(desc.sets)
     view = to_view(desc)
     keep = [f for f in desc.sets if not any(f & ~(1 << e) in listed for e in elements(f))]
-    return description("cyclicflats", desc.n, keep, [view.rank(f) for f in keep])
+    return canonical("cyclicflats", desc.n, keep, [view.rank(f) for f in keep])
 
 
 def _non_spanning(circuits: Description) -> Description:
     """The circuits of at most the matroid's rank, with that rank."""
     r = to_view(circuits).full_rank
     sets = [c for c in circuits.sets if c.bit_count() <= r]
-    return description("nsc", circuits.n, sets, r=r)
+    return canonical("nsc", circuits.n, sets, r=r)
 
 
 #: The directed cover edges of the convertibility order, each with its
 #: rule, in declaration order (which breaks shortest-path ties).  A rank
 #: description lists every subset in canonical order, so r(E) is last.
 _RULES: Dict[Tuple[str, str], Callable[[Description], Description]] = {
-    ("rank", "spanning"): lambda d: description(
+    ("rank", "spanning"): lambda d: canonical(
         "spanning", d.n, [m for m, rk in zip(d.sets, d.set_ranks) if rk == d.set_ranks[-1]]
     ),
-    ("rank", "independent"): lambda d: description(
+    ("rank", "independent"): lambda d: canonical(
         "independent", d.n, [m for m, rk in zip(d.sets, d.set_ranks) if rk == m.bit_count()]
     ),
-    ("spanning", "bases"): lambda d: description("bases", d.n, minimal_sets(d.sets)),
-    ("independent", "bases"): lambda d: description("bases", d.n, maximal_sets(d.sets)),
+    ("spanning", "bases"): lambda d: canonical("bases", d.n, minimal_sets(d.sets)),
+    ("independent", "bases"): lambda d: canonical("bases", d.n, maximal_sets(d.sets)),
     ("independent", "flats"): _independent_to_flats,
-    ("bases", "circuits"): lambda d: description(
+    ("bases", "circuits"): lambda d: canonical(
         "circuits", d.n, _fundamental_circuits(list(d.sets), d.n)
     ),
     ("bases", "cyclicflats"): _bases_to_cyclicflats,
     # the hyperplanes are the complements of the dual's circuits
     ("bases", "hyperplanes"): lambda d: dual(
-        description("circuits", d.n, _fundamental_circuits(list(dual(d).sets), d.n))
+        canonical("circuits", d.n, _fundamental_circuits(list(dual(d).sets), d.n))
     ),
     ("flats", "cyclicflats"): _flats_to_cyclicflats,
     # the hyperplanes are the maximal proper flats
-    ("flats", "hyperplanes"): lambda d: description(
+    ("flats", "hyperplanes"): lambda d: canonical(
         "hyperplanes", d.n, maximal_sets([f for f in d.sets if f != full_mask(d.n)])
     ),
     ("circuits", "nsc"): _non_spanning,

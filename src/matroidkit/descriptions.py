@@ -8,6 +8,10 @@ queryable :class:`~matroidkit.core.MatroidView`, the listed dual of the
 kinds that pair up under duality, exhaustive re-encoding, size
 measurement and semantic equality.
 
+Every description is built by :func:`canonical`, which orders the sets
+and carries their ranks along unchecked.  Input is checked once, where
+it enters: by :func:`description` and by :func:`parse`.
+
 Text format (UTF-8, LF)::
 
     matroid <kind> n=<n>[ r=<r>]
@@ -21,12 +25,12 @@ bitstring character is element 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import KINDS, tables
-from .bitsets import canonical_key, check_ground, check_mask, format_bits, full_mask
+from .bitsets import canonical_order, check_ground, check_mask, format_bits, full_mask
 from .bitsets import minimal_sets, parse_bits
 from .core import MatroidView
 
@@ -58,6 +62,23 @@ class SizeMeasure:
     header_bits: int
 
 
+def canonical(
+    kind: str,
+    n: int,
+    sets: Iterable[int],
+    set_ranks: Optional[Iterable[int]] = None,
+    r: Optional[int] = None,
+) -> Description:
+    """The one constructor of a :class:`Description`: the sets in canonical
+    (cardinality, value) order, each rank kept with its set.  Unchecked:
+    the sets are distinct ``int`` masks in range, the rank data fits the kind."""
+    if set_ranks is None:
+        return Description(kind, n, tuple(canonical_order(sets)), None, r)
+    rank_of = dict(zip(sets, set_ranks))
+    order = canonical_order(rank_of)
+    return Description(kind, n, tuple(order), tuple(rank_of[m] for m in order), r)
+
+
 def description(
     kind: str,
     n: int,
@@ -67,16 +88,17 @@ def description(
 ) -> Description:
     """Build a structurally checked, canonically ordered description.
 
-    Sets are sorted by (cardinality, numeric mask value); rank
-    annotations follow their sets.  Duplicates and missing or spurious
-    rank data are structural errors.
+    Duplicates, sets outside the ground set and missing or spurious rank
+    data are structural errors; the checked fields go to
+    :func:`canonical`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
     check_ground(n)
     sets = [int(m) for m in sets]
-    for m in sets:
-        check_mask(m, n)
+    full = full_mask(n)
+    if sets and not 0 <= min(sets) <= max(sets) <= full:
+        check_mask(next(m for m in sets if not 0 <= m <= full), n)
     if len(set(sets)) != len(sets):
         raise ValueError("duplicate set in description")
     if kind in PER_SET_RANK_KINDS:
@@ -97,11 +119,7 @@ def description(
         raise ValueError(
             f"rank table lists {len(sets)} subsets, expected {1 << n}"
         )
-
-    order = sorted(range(len(sets)), key=lambda i: canonical_key(sets[i]))
-    canon_sets = tuple(sets[i] for i in order)
-    canon_ranks = tuple(set_ranks[i] for i in order) if set_ranks is not None else None
-    return Description(kind, n, canon_sets, canon_ranks, r)
+    return canonical(kind, n, sets, set_ranks, r)
 
 
 # -- text format ---------------------------------------------------------
@@ -160,7 +178,7 @@ def parse(text) -> Description:
             opts = {}
             for field in fields[2:]:
                 key, _, value = field.partition("=")
-                if key not in ("n", "r") or not value:
+                if key not in ("n", "r") or not value or key in opts:
                     raise ParseError(f"bad header field {field!r}", lineno)
                 try:
                     opts[key] = int(value)
@@ -206,12 +224,14 @@ def parse(text) -> Description:
         raise ParseError(str(exc), header) from None
 
 
+def _header(desc: Description) -> str:
+    header = f"matroid {desc.kind} n={desc.n}"
+    return header if desc.r is None else f"{header} r={desc.r}"
+
+
 def serialize(desc: Description) -> str:
     """Canonical text; ``parse(serialize(d)) == d`` bit-exactly."""
-    header = f"matroid {desc.kind} n={desc.n}"
-    if desc.r is not None:
-        header += f" r={desc.r}"
-    lines = [header]
+    lines = [_header(desc)]
     for i, mask in enumerate(desc.sets):
         line = format_bits(mask, desc.n)
         if desc.set_ranks is not None:
@@ -223,11 +243,8 @@ def serialize(desc: Description) -> str:
 def size_of(desc: Description) -> SizeMeasure:
     """Listed-set count and the n*i cell measure; the header is costed
     separately and excluded from the cells."""
-    header = f"matroid {desc.kind} n={desc.n}"
-    if desc.r is not None:
-        header += f" r={desc.r}"
     i = len(desc.sets)
-    return SizeMeasure(listed_sets=i, cells=desc.n * i, header_bits=8 * len(header))
+    return SizeMeasure(listed_sets=i, cells=desc.n * i, header_bits=8 * len(_header(desc)))
 
 
 # -- decoding ------------------------------------------------------------
@@ -236,7 +253,7 @@ def size_of(desc: Description) -> SizeMeasure:
 def _flat_heights(flat_list: Sequence[int]) -> Dict[int, int]:
     """The longest chain below each flat (its rank in a matroid lattice),
     by one vector pass per flat over the flats before it canonically."""
-    order = sorted(flat_list, key=canonical_key)
+    order = canonical_order(flat_list)
     masks = np.array(order, dtype=np.int64)
     heights = np.zeros(len(order), dtype=np.int64)
     for i, f in enumerate(order):
@@ -275,18 +292,12 @@ _DUAL_KIND = {
 
 def dual(desc: Description) -> Description:
     """The description of the dual matroid M*: every set complemented,
-    the kind swapped, and a header rank r read as n - r.
-
-    Built without :func:`description`: complements of in-range sets are
-    in range, and complementing reverses the canonical order (it maps
-    (|A|, A) to (n - |A|, 2^n - 1 - A)), so the reversed complements are
-    already canonical."""
+    the kind swapped, and a header rank r read as n - r."""
     if desc.kind not in _DUAL_KIND:
         raise ValueError(f"kind {desc.kind!r} has no listed dual")
     full = full_mask(desc.n)
     r = None if desc.r is None else desc.n - desc.r
-    sets = tuple(full ^ m for m in reversed(desc.sets))
-    return Description(_DUAL_KIND[desc.kind], desc.n, sets, r=r)
+    return canonical(_DUAL_KIND[desc.kind], desc.n, [full ^ m for m in desc.sets], r=r)
 
 
 def to_view(desc: Description) -> MatroidView:
@@ -401,23 +412,18 @@ def to_view(desc: Description) -> MatroidView:
 
 def encode_from_oracle(view: MatroidView, kind: str) -> Description:
     """Exhaustively re-encode a view as any kind, by classifying every
-    subset against the kind's defining predicate.
-
-    Every kind but ``rank`` is built without :func:`description`:
-    :func:`tables.family_masks` returns distinct in-range masks in
-    canonical order, and ranks read off the rank table lie in [0, n]."""
+    subset against the kind's defining predicate."""
     if kind not in KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
     if kind == "rank":
-        rank = tables.rank_table(view)
-        return description(kind, view.n, range(1 << view.n), rank.tolist())
+        return canonical(kind, view.n, range(1 << view.n), tables.rank_table(view).tolist())
     masks = tables.family_masks(view, kind)
     set_ranks = r = None
     if kind == "cyclicflats":
-        set_ranks = tuple(tables.rank_table(view)[masks].tolist())
+        set_ranks = tables.rank_table(view)[masks].tolist()
     elif kind in HEADER_RANK_KINDS:
         r = view.full_rank
-    return Description(kind, view.n, tuple(masks), set_ranks, r)
+    return canonical(kind, view.n, masks, set_ranks, r)
 
 
 def semantically_equal(a: Description, b: Description) -> bool:

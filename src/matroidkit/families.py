@@ -15,7 +15,7 @@ import numpy as np
 from . import FAMILY_TAGS
 from .bitsets import check_ground
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
-from .descriptions import description, int_records, to_view
+from .descriptions import canonical, int_records, to_view
 from .tables import image_table, popcounts, up_closure
 
 
@@ -206,8 +206,7 @@ def phi(g: MultiGraph) -> MatroidView:
         for zi in (i, g.v + i):
             for zj in (j, g.v + j):
                 circuits.append((1 << zi) | (1 << zj) | y)
-    desc = description("nsc", n, circuits, r=3)
-    view = to_view(desc)
+    view = to_view(canonical("nsc", n, circuits, r=3))
     view.name = f"Phi(graph v={g.v} m={g.m})"
     return view
 
@@ -219,8 +218,7 @@ def phi_r(g: MultiGraph, r: int) -> MatroidView:
         raise ValueError("phi_r is defined for simple graphs")
     if r <= 2:
         raise ValueError("phi_r needs r > 2")
-    t = math.ceil((r - 1) / 2)
-    h = subdivide(add_loops(g, 1), t)
+    h = subdivide(add_loops(g, 1), subdivision_length(r))
     base = bicircular(h)
     if base.full_rank < r:
         raise ValueError(

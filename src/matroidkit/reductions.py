@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import tables
-from .bitsets import elements, from_elements, full_mask, maximal_sets
+from .bitsets import check_ground, elements, from_elements, full_mask, maximal_sets
 from .core import MatroidView, contract_circuits, relabel, restrict_circuits
-from .descriptions import Description, description, dual, encode_from_oracle, int_records, to_view
+from .descriptions import Description, canonical, dual, encode_from_oracle, int_records, to_view
 from .families import MultiGraph, phi, phi_r, subdivision_length
 
 
@@ -216,7 +216,7 @@ def detect_minor_fixed(
             # isomorphic matroids have the same circuit sizes: no table needed
             if [c.bit_count() for c in circ] != pattern_sizes:
                 continue
-            minor_view = to_view(description("circuits", s, circ))
+            minor_view = to_view(canonical("circuits", s, circ))
             if tables.rank_signature(minor_view) != pattern_sig:
                 continue
             sigma = isomorphic(minor_view, pattern)
@@ -470,7 +470,7 @@ def reduce_3dm(ts: TripleSystem) -> ThreePartitionReduction:
     """Three partition matroids on the triple set: matroid i groups the
     triples by their side-i element, so a common independent set of size
     s is exactly a matching."""
-    t = len(ts.triples)
+    t = check_ground(len(ts.triples))
     full = full_mask(t)
     circuit_descs = []
     hyperplane_descs = []
@@ -487,9 +487,9 @@ def reduce_3dm(ts: TripleSystem) -> ThreePartitionReduction:
             for cls in classes
             for i, j in combinations(list(elements(cls)), 2)
         ]
-        circuit_descs.append(description("circuits", t, circuits))
+        circuit_descs.append(canonical("circuits", t, circuits))
         hyperplanes = [full & ~cls for cls in classes if cls]
-        hyperplane_descs.append(description("hyperplanes", t, set(hyperplanes)))
+        hyperplane_descs.append(canonical("hyperplanes", t, hyperplanes))
     return ThreePartitionReduction(
         circuits=tuple(circuit_descs),
         hyperplanes=tuple(hyperplane_descs),

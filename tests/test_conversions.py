@@ -135,6 +135,15 @@ def test_each_rule_returns_its_target_kind(view, edge):
     assert (out.kind, out.n) == (dst, view.n)
 
 
+@pytest.mark.parametrize("view", corpus_params())
+@pytest.mark.parametrize("edge", EDGES, ids=lambda e: f"{e[0]}->{e[1]}")
+def test_each_rule_builds_what_the_checked_route_builds(view, edge):
+    # the rules skip description(); its checks must have nothing to find
+    out = _RULES[edge](encode_from_oracle(view, edge[0]))
+    assert out == description(out.kind, out.n, out.sets, out.set_ranks, out.r)
+    assert all(type(v) is int for v in out.sets + (out.set_ranks or ()))
+
+
 def test_fundamental_circuits_are_exactly_the_circuits():
     for view in (uniform(2, 4), parallel_blowup(uniform(2, 3), 2)):
         bases = family_masks(view, "bases")

@@ -51,6 +51,17 @@ def test_description_structural_errors():
         description("rank", 2, [0], set_ranks=[0])  # incomplete table
 
 
+@pytest.mark.parametrize("sets, bad", [
+    ([0b01, 0b100, -1, 0b1000], "0b100"),
+    ([0b01, -1, 0b100], "-0b1"),
+    ([0b11, 1 << 40], bin(1 << 40)),
+])
+def test_description_names_the_first_out_of_range_mask(sets, bad):
+    with pytest.raises(ValueError) as err:
+        description("circuits", 2, sets)
+    assert str(err.value) == f"mask {bad} has bits outside a ground set of size 2"
+
+
 # -- text format ---------------------------------------------------------
 
 
@@ -74,6 +85,17 @@ def test_parse_header_rank_kinds():
         parse("matroid nsc n=3\n110\n")  # missing r
     with pytest.raises(ParseError):
         parse("matroid bases n=3 r=2\n110\n")  # spurious r
+
+
+@pytest.mark.parametrize("text, field", [
+    ("matroid bases n=3 n=2\n110\n", "n=2"),
+    ("matroid nsc n=3 r=1 r=2\n110\n", "r=2"),
+])
+def test_parse_rejects_a_repeated_header_field(text, field):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == 1
+    assert str(err.value) == f"line 1: bad header field {field!r}"
 
 
 def test_parse_per_set_ranks():

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from matroidkit import (
+    encode_bipartite,
     encode_from_oracle,
     measure_family,
     parse,
+    parse_graph,
     render_csv,
     render_table,
     run_separation_suite,
@@ -190,6 +192,18 @@ def test_cli_iso_encode(tmp_path, capsys):
     assert out.startswith("graph n=")
 
 
+@pytest.mark.parametrize("kind", ["cyclicflats", "nsc"])
+def test_cli_iso_encode_prints_every_vertex_and_edge(tmp_path, capsys, kind):
+    # one kind with per-set ranks, one with a header rank
+    desc = encode_from_oracle(uniform(2, 4), kind)
+    f = _write(tmp_path, f"u24.{kind}.txt", serialize(desc))
+    assert main(["iso", "--encode", f]) == 0
+    g = parse_graph(capsys.readouterr().out)
+    encoded = encode_bipartite(desc)
+    assert (g.v, g.m) == (len(encoded.roles), len(encoded.edges))
+    assert list(g.edges) == sorted(g.edges)
+
+
 def test_cli_intersect3(tmp_path, capsys):
     f = str(tmp_path / "m.txt")
     main(["gen", "uniform", "1", "2", "--as", "bases", "--out", f])
@@ -215,6 +229,17 @@ def test_cli_reduce_3dm(tmp_path, capsys):
     assert "round trip: ok" in capsys.readouterr().out
     assert parse((tmp_path / "out.m1.circuits.txt").read_text()).kind == "circuits"
     assert parse((tmp_path / "out.m1.hyperplanes.txt").read_text()).kind == "hyperplanes"
+
+
+def test_cli_reduce_3dm_refuses_more_triples_than_the_cap(tmp_path, capsys):
+    lines = [f"{a} {b} {(a + b) % 5}" for a in range(5) for b in range(5)]
+    f = _write(tmp_path, "ts.txt", "3dm s=5\n" + "\n".join(lines) + "\n")
+    prefix = str(tmp_path / "out")
+    assert main(["reduce", "3dm", f, "--verify", "--out-prefix", prefix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ground set of 25 elements exceeds the cap of 24\n"
+    assert not list(tmp_path.glob("out.*"))
 
 
 def test_cli_reduce_subgraph_and_indepset(tmp_path, capsys):

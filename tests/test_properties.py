@@ -16,8 +16,9 @@ from matroidkit import (
     validate,
 )
 from matroidkit.bitsets import full_mask, masks_of_size, maximal_sets, minimal_sets
-from matroidkit.conversions import convert_edge
-from matroidkit.descriptions import _flat_heights, dual
+from matroidkit.conversions import EDGES, convert_edge
+from matroidkit.descriptions import HEADER_RANK_KINDS, PER_SET_RANK_KINDS, _flat_heights
+from matroidkit.descriptions import canonical, dual
 from matroidkit.tables import views_equal
 
 from conftest import corpus
@@ -253,3 +254,48 @@ def test_encode_from_oracle_equals_the_checked_route(view, kind, data):
     checked = description(kind, view.n, [got.sets[i] for i in order], ranks, got.r)
     assert got == checked
     assert all(type(m) is int for m in got.sets + (got.set_ranks or ()))
+
+
+# -- the builder: description() minus its checks --------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_families, st.sampled_from(KINDS), st.data())
+def test_builder_equals_the_checked_route(drawn, kind, data):
+    n, sets = drawn
+    if kind == "rank":
+        sets = list(range(1 << n))
+    ranks = r = None
+    if kind in PER_SET_RANK_KINDS:
+        ranks = data.draw(st.lists(st.integers(0, n), min_size=len(sets), max_size=len(sets)))
+    if kind in HEADER_RANK_KINDS:
+        r = data.draw(st.integers(0, n))
+    order = data.draw(st.permutations(range(len(sets))))
+    got = canonical(
+        kind, n, [sets[i] for i in order], None if ranks is None else [ranks[i] for i in order], r
+    )
+    assert got == description(kind, n, sets, ranks, r)
+    assert all(type(v) is int for v in got.sets + (got.set_ranks or ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_families, st.sampled_from(EDGES), st.data())
+def test_rules_build_what_the_checked_route_builds(drawn, edge, data):
+    # a random antichain read as the edge's source kind, mostly not a
+    # matroid: the rule refuses it or builds what description() builds
+    n, sets = drawn
+    src = edge[0]
+    ranks = None
+    if src == "rank":
+        sets = list(range(1 << n))
+        ranks = data.draw(st.lists(st.integers(0, n), min_size=len(sets), max_size=len(sets)))
+    else:
+        sets = minimal_sets(sets)
+        if src == "flats" and full_mask(n) not in sets:
+            sets.append(full_mask(n))  # decoding flats needs the ground set
+    try:
+        out = convert_edge(description(src, n, sets, ranks), edge[1])
+    except ValueError:
+        return
+    assert out == description(out.kind, out.n, out.sets, out.set_ranks, out.r)
+    assert all(type(v) is int for v in out.sets + (out.set_ranks or ()))

@@ -27,6 +27,7 @@ from matroidkit import (
     uniform,
     verify_minor_witness,
 )
+from matroidkit.bitsets import CapacityError
 from matroidkit.reductions import MinorWitness, TripleSystem, _distinct_unions
 
 from conftest import K3, P3
@@ -299,6 +300,13 @@ def test_reduce_3dm_structure():
     t = len(ts.triples)
     for d in built.circuits + built.hyperplanes:
         assert len(d.sets) <= t * t
+
+
+def test_reduce_3dm_refuses_more_triples_than_the_cap():
+    # one matroid element per triple: 25 triples exceed the 24-element cap
+    ts = TripleSystem(5, tuple((a, b, (a + b) % 5) for a in range(5) for b in range(5)))
+    with pytest.raises(CapacityError, match="^ground set of 25 elements exceeds the cap of 24$"):
+        reduce_3dm(ts)
 
 
 def test_reduce_3dm_reports_uncovered():

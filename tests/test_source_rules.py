@@ -109,3 +109,50 @@ def test_the_blas_rule_sees_every_form():
         "ok = np.add.outer(a, b) & a | b\n"
     )
     assert _blas_lines(source) == [2, 3, 4, 5, 6, 7, 9, 10]
+
+
+def _description_calls(source: str, builder: str = ""):
+    """Lines that call ``Description(...)`` outside a function named
+    ``builder``."""
+    lines = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside or child.name == builder)
+                continue
+            if isinstance(child, ast.Call) and not inside:
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Description":
+                    lines.append(child.lineno)
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_builder_constructs_descriptions(path):
+    # the canonical order and rank alignment live in descriptions.canonical
+    builder = "canonical" if path.name == "descriptions.py" else ""
+    lines = _description_calls(path.read_text(encoding="utf-8"), builder)
+    assert not lines, f"{path.name}: Description(...) built outside the builder on line(s) {lines}"
+
+
+def test_the_description_rule_sees_every_call():
+    source = (
+        "from matroidkit import descriptions\n"
+        "from matroidkit.descriptions import Description\n"
+        "d = Description('bases', 0, ())\n"
+        "def canonical(kind, n, sets):\n"
+        "    return Description(kind, n, tuple(sets))\n"
+        "def dual(desc):\n"
+        "    return descriptions.Description(desc.kind, desc.n, desc.sets)\n"
+        "class Holder:\n"
+        "    def build(self):\n"
+        "        return [Description('bases', 0, ()) for _ in ()]\n"
+        "x = descriptions.description('bases', 0, [])\n"
+    )
+    assert _description_calls(source) == [3, 5, 7, 10]
+    assert _description_calls(source, "canonical") == [3, 7, 10]
