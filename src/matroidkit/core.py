@@ -39,15 +39,14 @@ class MatroidView:
     over all ``2**n`` masks.  A view with neither ``indep`` nor ``rank``
     is table-only: its rank reads :func:`matroidkit.tables.rank_table`
     and its independence follows from that.  The public queries check
-    their mask once and then run unchecked private steps.  ``name`` is
-    set by the builders, and ``index_map`` by :meth:`minor`.
+    their mask once and then run unchecked private steps.  ``index_map``
+    is set by :meth:`minor`.
     """
 
     __slots__ = (
         "n",
         "full",
         "table_source",
-        "name",
         "index_map",
         "_indep",
         "_rank",
@@ -61,7 +60,6 @@ class MatroidView:
         indep: Optional[Callable[[int], bool]] = None,
         rank: Optional[Callable[[int], int]] = None,
         table_source: Optional[Callable[[], np.ndarray]] = None,
-        name: Optional[str] = None,
     ):
         if indep is None and rank is None and table_source is None:
             raise ValueError(
@@ -71,7 +69,6 @@ class MatroidView:
         self.n = n
         self.full = full_mask(n)
         self.table_source = table_source
-        self.name = name
         self.index_map = None
         self._indep = indep
         self._rank = rank
@@ -86,8 +83,7 @@ class MatroidView:
         return self._full_rank
 
     def __repr__(self):
-        label = self.name or "matroid"
-        return f"<MatroidView {label}: n={self.n} r={self.full_rank}>"
+        return f"<MatroidView n={self.n}>"
 
     # -- queries ---------------------------------------------------------
 
@@ -146,11 +142,7 @@ class MatroidView:
         from . import tables  # tables builds on this module
 
         rank = tables.rank_table(self)
-        return tables.table_view(
-            self.n,
-            tables.popcounts(self.n) + rank[::-1] - rank[-1],
-            name=f"dual({self.name})" if self.name else None,
-        )
+        return tables.table_view(self.n, tables.popcounts(self.n) + rank[::-1] - rank[-1])
 
     def minor(self, x: int, y: int) -> "MatroidView":
         """M / x \\ y on the surviving elements, re-indexed 0..n'-1 in
@@ -162,8 +154,7 @@ class MatroidView:
         if x & y:
             raise ValueError("contracted and deleted sets overlap")
         keep = tuple(elements(self.full & ~x & ~y))
-        name = f"minor({self.name})" if self.name else None
-        view = _pull_back(self, [1 << e for e in keep], name, x)
+        view = _pull_back(self, [1 << e for e in keep], x)
         view.index_map = keep
         return view
 
@@ -181,16 +172,10 @@ class MatroidView:
             )
         from . import tables
 
-        return tables.table_view(
-            self.n,
-            np.minimum(tables.rank_table(self), target_rank),
-            name=f"T({self.name})" if self.name else None,
-        )
+        return tables.table_view(self.n, np.minimum(tables.rank_table(self), target_rank))
 
 
-def _pull_back(
-    view: MatroidView, images: Sequence[int], name: Optional[str], x: int = 0
-) -> MatroidView:
+def _pull_back(view: MatroidView, images: Sequence[int], x: int = 0) -> MatroidView:
     """The matroid on ``len(images)`` elements in which element ``i``
     acts as the set ``images[i]`` of ``view`` contracted by ``x``:
     r'(A) = r(x | OR of images[i] over A) - r(x).  One gather from the
@@ -201,19 +186,17 @@ def _pull_back(
     rank = tables.rank_table(view)
     at = tables.image_table(len(images), images)
     at |= x
-    return tables.table_view(len(images), rank[at] - rank[x], name=name)
+    return tables.table_view(len(images), rank[at] - rank[x])
 
 
 def direct_sum(a: MatroidView, b: MatroidView) -> MatroidView:
     """Disjoint union; b's elements are shifted up by a.n."""
     from . import tables
 
-    n = a.n + b.n
-    check_ground(n)  # raises CapacityError past the mask width
+    n = check_ground(a.n + b.n)  # raises CapacityError past the mask width
     # mask m splits as (m >> a.n, m & a.full): the outer sum's row and column
     rank = np.add.outer(tables.rank_table(b), tables.rank_table(a)).ravel()
-    name = f"{a.name}(+){b.name}" if a.name and b.name else None
-    return tables.table_view(n, rank, name=name)
+    return tables.table_view(n, rank)
 
 
 def parallel_blowup(view: MatroidView, m: int) -> MatroidView:
@@ -225,10 +208,8 @@ def parallel_blowup(view: MatroidView, m: int) -> MatroidView:
     """
     if m < 1:
         raise ValueError(f"parallel class size must be >= 1, got {m}")
-    n = view.n * m
-    check_ground(n)
-    name = f"{m}{view.name}" if view.name else None
-    return _pull_back(view, [1 << (j // m) for j in range(n)], name)
+    n = check_ground(view.n * m)
+    return _pull_back(view, [1 << (j // m) for j in range(n)])
 
 
 def add_parallel(view: MatroidView, e: int) -> MatroidView:
@@ -238,8 +219,7 @@ def add_parallel(view: MatroidView, e: int) -> MatroidView:
     if view.rank(1 << e) == 0:
         raise ValueError(f"element {e} is a loop; parallel extension undefined")
     check_ground(view.n + 1)
-    name = f"{view.name}+parallel({e})" if view.name else None
-    return _pull_back(view, [1 << i for i in range(view.n)] + [1 << e], name)
+    return _pull_back(view, [1 << i for i in range(view.n)] + [1 << e])
 
 
 def relabel(view: MatroidView, perm: Sequence[int]) -> MatroidView:
@@ -249,7 +229,7 @@ def relabel(view: MatroidView, perm: Sequence[int]) -> MatroidView:
     images = [0] * view.n
     for old, new in enumerate(perm):
         images[new] = 1 << old
-    return _pull_back(view, images, view.name)
+    return _pull_back(view, images)
 
 
 def contract_circuits(circuits: Sequence[int], x: int) -> List[int]:

@@ -110,16 +110,19 @@ def description(
                 raise ValueError(f"set rank {v} outside [0, {n}]")
     elif set_ranks is not None:
         raise ValueError(f"kind {kind!r} does not take per-set ranks")
+    _check_header(kind, n, r, len(sets))
+    return canonical(kind, n, sets, set_ranks, r)
+
+
+def _check_header(kind: str, n: int, r: Optional[int], count: int) -> None:
+    """The header rank fits the kind and [0, n]; a rank table lists 2**n sets."""
     if kind in HEADER_RANK_KINDS:
         if r is None or not 0 <= r <= n:
             raise ValueError(f"kind {kind!r} needs a matroid rank in [0, {n}]")
     elif r is not None:
         raise ValueError(f"kind {kind!r} does not take a header rank")
-    if kind == "rank" and len(sets) != 1 << n:
-        raise ValueError(
-            f"rank table lists {len(sets)} subsets, expected {1 << n}"
-        )
-    return canonical(kind, n, sets, set_ranks, r)
+    if kind == "rank" and count != 1 << n:
+        raise ValueError(f"rank table lists {count} subsets, expected {1 << n}")
 
 
 # -- text format ---------------------------------------------------------
@@ -136,6 +139,13 @@ def content_lines(text) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
+def _strict_int(text: str) -> int:
+    """``int`` of ASCII digits with an optional leading ``-`` only."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def int_records(text, tag: str, key: str, width: int) -> Tuple[int, List[Tuple[int, ...]]]:
     """Read a ``<tag> <key>=<int>`` header and then lines of ``width``
     integers each: the line format of the graph and 3DM inputs."""
@@ -147,11 +157,11 @@ def int_records(text, tag: str, key: str, width: int) -> Tuple[int, List[Tuple[i
             if value is None:
                 if len(fields) != 2 or fields[0] != tag or not fields[1].startswith(f"{key}="):
                     raise ValueError
-                value = int(fields[1][len(key) + 1 :])
+                value = _strict_int(fields[1][len(key) + 1 :])
             elif len(fields) != width:
                 raise ValueError
             else:
-                records.append(tuple(int(x) for x in fields))
+                records.append(tuple(_strict_int(x) for x in fields))
         except ValueError:
             expected = f"header '{tag} {key}=<{key}>'" if value is None else f"{width} integers"
             raise ParseError(f"expected {expected}, got {line!r}", lineno) from None
@@ -178,10 +188,10 @@ def parse(text) -> Description:
             opts = {}
             for field in fields[2:]:
                 key, _, value = field.partition("=")
-                if key not in ("n", "r") or not value or key in opts:
+                if key not in ("n", "r") or key in opts:
                     raise ParseError(f"bad header field {field!r}", lineno)
                 try:
-                    opts[key] = int(value)
+                    opts[key] = _strict_int(value)
                 except ValueError:
                     raise ParseError(f"bad header field {field!r}", lineno) from None
             if "n" not in opts:
@@ -207,7 +217,7 @@ def parse(text) -> Description:
             if not sep:
                 raise ParseError(f"kind {kind!r} requires '<bits>:<rank>' lines", lineno)
             try:
-                rank = int(annot.strip())
+                rank = _strict_int(annot.strip())
             except ValueError:
                 raise ParseError(f"bad rank annotation {annot!r}", lineno) from None
             if not 0 <= rank <= n:
@@ -219,9 +229,11 @@ def parse(text) -> Description:
     if header is None:
         raise ParseError("empty input", 1)
     try:
-        return description(kind, n, sets, ranks if kind in PER_SET_RANK_KINDS else None, r)
+        check_ground(n)
+        _check_header(kind, n, r, len(sets))
     except ValueError as exc:
         raise ParseError(str(exc), header) from None
+    return canonical(kind, n, sets, ranks if kind in PER_SET_RANK_KINDS else None, r)
 
 
 def _header(desc: Description) -> str:
@@ -407,7 +419,7 @@ def to_view(desc: Description) -> MatroidView:
     else:
         raise ValueError(f"unknown description kind {kind!r}")
 
-    return MatroidView(n, indep=indep, rank=rank, table_source=source, name=f"{kind}[n={n}]")
+    return MatroidView(n, indep=indep, rank=rank, table_source=source)
 
 
 def encode_from_oracle(view: MatroidView, kind: str) -> Description:

@@ -13,7 +13,6 @@ from typing import List, Tuple
 import numpy as np
 
 from . import FAMILY_TAGS
-from .bitsets import check_ground
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
 from .descriptions import canonical, int_records, to_view
 from .tables import image_table, popcounts, up_closure
@@ -39,12 +38,9 @@ class MultiGraph:
         return len(self.edges)
 
     def is_simple(self) -> bool:
-        seen = set()
-        for u, w in self.edges:
-            if u == w or (u, w) in seen:
-                return False
-            seen.add((u, w))
-        return True
+        """No loops and no two edges on the same unordered pair."""
+        pairs = {(min(u, w), max(u, w)) for u, w in self.edges if u != w}
+        return len(pairs) == self.m
 
 
 def multigraph(v: int, edges) -> MultiGraph:
@@ -70,8 +66,21 @@ def uniform(r: int, n: int) -> MatroidView:
     table-only view: its one rule is the table ``popcounts <= r``."""
     if not 0 <= r <= n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
-    check_ground(n)
-    return MatroidView(n, table_source=lambda: popcounts(n) <= r, name=f"U({r},{n})")
+    return MatroidView(n, table_source=lambda: popcounts(n) <= r)
+
+
+#: tag -> (smallest n, builder).  L15's sum has rank n + 1; T truncates it to n.
+_FAMILIES = {
+    "L10": (1, lambda n: uniform(n - 1, n)),
+    "L11": (1, lambda n: uniform(1, n)),
+    "L15": (
+        3,
+        lambda n: direct_sum(parallel_blowup(uniform(n - 1, n), n), uniform(2, 2)).truncate(n),
+    ),
+    "L17": (2, lambda n: add_parallel(uniform(n, 2 * n), 0)),
+    "L18": (3, lambda n: parallel_blowup(uniform(n - 1, n), 2)),
+    "L20": (1, lambda n: uniform(n, 2 * n)),
+}
 
 
 def separation_family(tag: str, n: int) -> MatroidView:
@@ -85,37 +94,12 @@ def separation_family(tag: str, n: int) -> MatroidView:
     L18: 2U_{n-1,n}             (few hyperplanes, many cyclic flats)
     L20: U_{n,2n}               (no non-spanning circuits, many circuits)
     """
-    if tag == "L10":
-        if n < 1:
-            raise ValueError("L10 needs n >= 1")
-        return uniform(n - 1, n)
-    if tag == "L11":
-        if n < 1:
-            raise ValueError("L11 needs n >= 1")
-        return uniform(1, n)
-    if tag == "L15":
-        if n < 3:
-            raise ValueError("L15 needs n >= 3")
-        blown = parallel_blowup(uniform(n - 1, n), n)
-        summed = direct_sum(blown, uniform(2, 2))
-        view = summed.truncate(summed.full_rank - 1)
-        view.name = f"T({n}U({n - 1},{n})(+)U(2,2))"
-        return view
-    if tag == "L17":
-        if n < 2:
-            raise ValueError("L17 needs n >= 2")
-        view = add_parallel(uniform(n, 2 * n), 0)
-        view.name = f"U({n},{2 * n})+parallel(0)"
-        return view
-    if tag == "L18":
-        if n < 3:
-            raise ValueError("L18 needs n >= 3")
-        return parallel_blowup(uniform(n - 1, n), 2)
-    if tag == "L20":
-        if n < 1:
-            raise ValueError("L20 needs n >= 1")
-        return uniform(n, 2 * n)
-    raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
+    if tag not in _FAMILIES:
+        raise ValueError(f"unknown family tag {tag!r}; expected one of {FAMILY_TAGS}")
+    smallest, build = _FAMILIES[tag]
+    if n < smallest:
+        raise ValueError(f"{tag} needs n >= {smallest}")
+    return build(n)
 
 
 # -- graph-derived matroids ----------------------------------------------
@@ -136,7 +120,6 @@ def bicircular(g: MultiGraph) -> MatroidView:
     the supersets of {S : |S| > |V(S)|}: an image table of the endpoint
     masks and one up-closure, O(m * 2**m) in numpy passes.
     """
-    check_ground(g.m)
 
     def table() -> np.ndarray:
         # number the touched vertices densely so their masks fit in 48 bits
@@ -148,8 +131,7 @@ def bicircular(g: MultiGraph) -> MatroidView:
         touched = np.bitwise_count(image_table(g.m, ends))
         return ~up_closure(popcounts(g.m) > touched, g.m)
 
-    name = f"B(graph v={g.v} m={g.m})"
-    return MatroidView(g.m, table_source=table, name=name)
+    return MatroidView(g.m, table_source=table)
 
 
 def add_loops(g: MultiGraph, per_vertex: int) -> MultiGraph:
@@ -196,8 +178,6 @@ def phi(g: MultiGraph) -> MatroidView:
         raise ValueError("phi is defined for simple graphs")
     if g.v < 3:
         raise ValueError("phi needs at least 3 vertices")
-    n = 2 * g.v + g.m
-    check_ground(n)
     circuits = []
     for i in range(g.v):
         circuits.append((1 << i) | (1 << (g.v + i)))
@@ -206,9 +186,7 @@ def phi(g: MultiGraph) -> MatroidView:
         for zi in (i, g.v + i):
             for zj in (j, g.v + j):
                 circuits.append((1 << zi) | (1 << zj) | y)
-    view = to_view(canonical("nsc", n, circuits, r=3))
-    view.name = f"Phi(graph v={g.v} m={g.m})"
-    return view
+    return to_view(canonical("nsc", 2 * g.v + g.m, circuits, r=3))
 
 
 def phi_r(g: MultiGraph, r: int) -> MatroidView:
@@ -224,9 +202,7 @@ def phi_r(g: MultiGraph, r: int) -> MatroidView:
         raise ValueError(
             f"bicircular rank {base.full_rank} below target rank {r}"
         )
-    view = base.truncate(r)
-    view.name = f"Phi_{r}(graph v={g.v} m={g.m})"
-    return view
+    return base.truncate(r)
 
 
 def subdivision_length(r: int) -> int:

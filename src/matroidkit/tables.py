@@ -106,7 +106,7 @@ def independence_table(view: MatroidView) -> np.ndarray:
     """Boolean array over all masks, built by the view's table source;
     cached on the view."""
     if view.table_source is None:
-        raise ValueError(f"{view.name or 'this view'} has no table source")
+        raise ValueError("this view has no table source")
     if view._tables is None:
         view._tables = {}
     if "indep" not in view._tables:
@@ -234,11 +234,11 @@ def rank_signature(view: MatroidView) -> Tuple[int, ...]:
     return tuple(np.bincount(pc.astype(np.int64) * width + rank, minlength=width * width))
 
 
-def table_view(n: int, rank: np.ndarray, name=None) -> MatroidView:
+def table_view(n: int, rank: np.ndarray) -> MatroidView:
     """A table-only view of a precomputed rank array; its independence
     table is read off the ranks on first use."""
     rank = np.asarray(rank, dtype=np.int8)
-    view = MatroidView(n, table_source=lambda: rank == popcounts(n), name=name)
+    view = MatroidView(n, table_source=lambda: rank == popcounts(n))
     view._tables = {"rank": rank}
     return view
 

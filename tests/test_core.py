@@ -38,6 +38,17 @@ def test_view_requires_an_oracle():
         MatroidView(3)
 
 
+def test_view_takes_no_name():
+    with pytest.raises(TypeError):
+        MatroidView(3, table_source=lambda: popcounts(3) <= 1, name="x")
+
+
+def test_repr_builds_no_table():
+    view = uniform(10, 20)
+    assert repr(view) == "<MatroidView n=20>"
+    assert view._tables is None
+
+
 def test_table_only_view_answers_from_its_rank_table():
     view = MatroidView(3, table_source=lambda: popcounts(3) <= 1)
     assert view.full_rank == 1 and view.rank(0b110) == 1

@@ -10,6 +10,8 @@ from matroidkit import (
     direct_sum,
     encode_from_oracle,
     parse,
+    parse_3dm,
+    parse_graph,
     semantically_equal,
     serialize,
     size_of,
@@ -127,6 +129,80 @@ def test_parse_reports_an_out_of_range_set_rank_at_its_line(kind):
     with pytest.raises(ParseError) as err:
         parse(f"matroid {kind} n=1\n0:-1\n1:1\n")
     assert str(err.value) == "line 2: set rank -1 outside [0, 1]"
+
+
+#: Malformed inputs and the exact error each gets: the checks made line
+#: by line, and the ones made against the header after the last line
+#: (the ground-set cap, the header rank, the row count of ``rank``).
+MALFORMED = [
+    ("", "line 1: empty input"),
+    ("matroid\n", "line 1: expected header 'matroid <kind> n=<n>[ r=<r>]'"),
+    ("matroid foo n=2\n", "line 1: unknown kind 'foo'"),
+    ("matroid bases n=\n", "line 1: bad header field 'n='"),
+    ("matroid bases n=--1\n", "line 1: bad header field 'n=--1'"),
+    ("matroid bases n=2 k=3\n11\n", "line 1: bad header field 'k=3'"),
+    ("matroid bases n=2 r=1\n11\n", "line 1: kind 'bases' and header rank do not match"),
+    ("matroid nsc n=2 r=5\n11\n", "line 1: kind 'nsc' needs a matroid rank in [0, 2]"),
+    ("matroid nsc n=2 r=-1\n11\n", "line 1: kind 'nsc' needs a matroid rank in [0, 2]"),
+    ("matroid nsc n=2 r=5\n1\n", "line 2: bitstring of length 1, expected 2"),
+    ("matroid bases n=30\n", "line 1: ground set of 30 elements exceeds the cap of 24"),
+    ("matroid bases n=25\n" + "1" * 25 + "\n",
+     "line 1: ground set of 25 elements exceeds the cap of 24"),
+    ("matroid bases n=25\n" + "1" * 24 + "\n", "line 2: bitstring of length 24, expected 25"),
+    ("matroid bases n=-1\n", "line 1: negative ground-set size: -1"),
+    ("matroid bases n=-1\n:1\n", "line 2: bitstring of length 0, expected -1"),
+    ("matroid rank n=2\n00:0\n", "line 1: rank table lists 1 subsets, expected 4"),
+    ("matroid rank n=0\n", "line 1: rank table lists 0 subsets, expected 1"),
+    ("matroid rank n=30\n0:0\n", "line 2: bitstring of length 1, expected 30"),
+    ("matroid rank n=2\n00:0\n10:1\n01:1\n11:2\n11:2\n", "line 6: duplicate set 11"),
+    ("matroid bases n=3\n1\u06610\n", "line 2: bad character '\u0661' in bitstring '1\u06610'"),
+    ("matroid bases n=3\r\n# c\r\n1_0\r\n", "line 3: bad character '_' in bitstring '1_0'"),
+    ("matroid rank n=1\n0:0\n1:\n", "line 3: bad rank annotation ''"),
+    ("matroid rank n=1\n0:0\n1\n", "line 3: kind 'rank' requires '<bits>:<rank>' lines"),
+    ("matroid bases n=2\n01:1\n", "line 2: kind 'bases' lines must not carry ranks"),
+    ("matroid cyclicflats n=2\n00:3\n", "line 2: set rank 3 outside [0, 2]"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_parse_names_the_first_fault(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert err.value.line == int(message.split(":")[0].split()[1])
+
+
+#: Integers that plain ``int`` reads as 1.
+LOOSE_ONES = ["0_1", "+1", "\u0661"]
+
+
+@pytest.mark.parametrize("one", LOOSE_ONES)
+def test_parse_reads_integers_strictly(one):
+    cases = [
+        (f"matroid independent n={one}\n0\n", f"line 1: bad header field 'n={one}'"),
+        (f"matroid nsc n=2 r={one}\n11\n", f"line 1: bad header field 'r={one}'"),
+        (f"matroid cyclicflats n=2\n00:0\n11:{one}\n", f"line 3: bad rank annotation {one!r}"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("one", LOOSE_ONES)
+def test_graph_and_3dm_inputs_read_integers_strictly(one):
+    cases = [
+        (parse_graph, f"graph n={one}\n0 0\n",
+         f"line 1: expected header 'graph n=<n>', got 'graph n={one}'"),
+        (parse_graph, f"graph n=2\n0 {one}\n", f"line 2: expected 2 integers, got '0 {one}'"),
+        (parse_3dm, f"3dm s={one}\n0 0 0\n",
+         f"line 1: expected header '3dm s=<s>', got '3dm s={one}'"),
+        (parse_3dm, f"3dm s=2\n0 0 {one}\n", f"line 2: expected 3 integers, got '0 0 {one}'"),
+    ]
+    for reader, text, message in cases:
+        with pytest.raises(ParseError) as err:
+            reader(text)
+        assert str(err.value) == message
 
 
 def test_description_keeps_its_set_rank_check():

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matroidkit import (
+    FAMILY_TAGS,
     CapacityError,
+    MultiGraph,
     add_loops,
     bicircular,
+    direct_sum,
     multigraph,
+    parallel_blowup,
     parse_graph,
     phi,
     phi_r,
@@ -73,6 +77,34 @@ def test_family_parameter_bounds():
         separation_family("L99", 3)
     with pytest.raises(CapacityError):
         separation_family("L15", 5)  # 27 elements exceed the mask cap
+
+
+SMALLEST_N = {"L10": 1, "L11": 1, "L15": 3, "L17": 2, "L18": 3, "L20": 1}
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_family_names_its_smallest_n(tag):
+    with pytest.raises(ValueError) as err:
+        separation_family(tag, SMALLEST_N[tag] - 1)
+    assert str(err.value) == f"{tag} needs n >= {SMALLEST_N[tag]}"
+    assert separation_family(tag, SMALLEST_N[tag]).n >= 1
+
+
+def test_family_refuses_an_unknown_tag_and_an_oversized_ground_set():
+    with pytest.raises(ValueError) as err:
+        separation_family("L99", 3)
+    assert str(err.value) == (
+        "unknown family tag 'L99'; expected one of "
+        "('L10', 'L11', 'L15', 'L17', 'L18', 'L20')"
+    )
+    with pytest.raises(CapacityError):
+        separation_family("L15", 5)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_l15_is_the_sum_truncated_by_one(n):
+    summed = direct_sum(parallel_blowup(uniform(n - 1, n), n), uniform(2, 2))
+    assert views_equal(separation_family("L15", n), summed.truncate(summed.full_rank - 1))
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -273,6 +305,16 @@ def test_phi_r_nsc_shape():
         }
         assert set(nsc) == expected
         assert all(c.bit_count() == subdivision_length(3) + 2 for c in nsc)
+
+
+def test_simplicity_ignores_edge_orientation():
+    g = MultiGraph(3, ((0, 1), (1, 0), (1, 2)))
+    assert g.edges == ((0, 1), (1, 0), (1, 2))
+    assert not g.is_simple()
+    with pytest.raises(ValueError, match=r"^phi is defined for simple graphs$"):
+        phi(g)
+    with pytest.raises(ValueError, match=r"^phi_r is defined for simple graphs$"):
+        phi_r(g, 3)
 
 
 def test_phi_r_input_checks():

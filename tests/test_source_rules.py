@@ -156,3 +156,54 @@ def test_the_description_rule_sees_every_call():
     )
     assert _description_calls(source) == [3, 5, 7, 10]
     assert _description_calls(source, "canonical") == [3, 7, 10]
+
+
+#: The functions that may touch the process environment: the ground-set
+#: cap reads ``MATROID_MAX_N``, and the entry point sets the BLAS thread
+#: count.  Any other use would be a new environment variable.
+ENV_USERS = frozenset({("bitsets.py", "max_ground"), ("cli.py", "main")})
+ENV_NAMES = frozenset({"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"})
+
+
+def _environment_uses(source: str):
+    """(line, innermost enclosing function or "") of each ``os.environ``,
+    ``os.getenv`` or ``os.putenv`` attribute and each import of them."""
+    uses = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in ENV_NAMES:
+                uses.append((child.lineno, func))
+            elif isinstance(child, ast.ImportFrom) and child.module == "os":
+                if ENV_NAMES & {alias.name for alias in child.names}:
+                    uses.append((child.lineno, func))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else func)
+
+    visit(ast.parse(source), "")
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_cap_and_the_entry_point_touch_the_environment(path):
+    uses = _environment_uses(path.read_text(encoding="utf-8"))
+    lines = [line for line, func in uses if (path.name, func) not in ENV_USERS]
+    assert not lines, f"{path.name}: environment touched on line(s) {lines}"
+
+
+def test_the_environment_rule_sees_every_form():
+    source = (
+        "import os\n"
+        "from os import environ\n"
+        "def max_ground():\n"
+        "    return os.environ['MATROID_MAX_N']\n"
+        "def other():\n"
+        "    return os.getenv('X'), environ['Y']\n"
+        "class Holder:\n"
+        "    def set(self):\n"
+        "        os.putenv('Z', '1')\n"
+        "x = os.environ.get('W')\n"
+    )
+    assert _environment_uses(source) == [
+        (2, ""), (4, "max_ground"), (6, "other"), (9, "set"), (10, ""),
+    ]
