@@ -142,7 +142,7 @@ def content_lines(text) -> Iterator[Tuple[int, str]]:
 def _strict_int(text: str) -> int:
     """``int`` of ASCII digits with an optional leading ``-`` only."""
     if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ValueError
     return int(text)
 
 

@@ -13,6 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 from . import FAMILY_TAGS
+from .bitsets import check_ground
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
 from .descriptions import canonical, int_records, to_view
 from .tables import image_table, popcounts, up_closure
@@ -178,6 +179,7 @@ def phi(g: MultiGraph) -> MatroidView:
         raise ValueError("phi is defined for simple graphs")
     if g.v < 3:
         raise ValueError("phi needs at least 3 vertices")
+    n = check_ground(2 * g.v + g.m)  # before the circuit list is built
     circuits = []
     for i in range(g.v):
         circuits.append((1 << i) | (1 << (g.v + i)))
@@ -186,7 +188,7 @@ def phi(g: MultiGraph) -> MatroidView:
         for zi in (i, g.v + i):
             for zj in (j, g.v + j):
                 circuits.append((1 << zi) | (1 << zj) | y)
-    return to_view(canonical("nsc", 2 * g.v + g.m, circuits, r=3))
+    return to_view(canonical("nsc", n, circuits, r=3))
 
 
 def phi_r(g: MultiGraph, r: int) -> MatroidView:
