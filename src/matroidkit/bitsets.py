@@ -129,6 +129,14 @@ def format_bits(mask: int, n: int) -> str:
     return bin(mask | 1 << n)[:2:-1]
 
 
+def strict_int(text: str) -> int:
+    """``int`` of ASCII digits with an optional leading ``-`` only; plain
+    ``int`` would also take ``_``, ``+``, spaces and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError
+    return int(text)
+
+
 def parse_bits(text: str) -> int:
     """Inverse of :func:`format_bits`.  Only ``0`` and ``1`` pass; ``int``
     alone would also take ``_``, a sign, spaces and non-ASCII digits."""

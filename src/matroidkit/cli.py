@@ -16,7 +16,7 @@ from pathlib import Path
 # Only numpy-free names at module level: each handler imports the modules
 # its subcommand needs, so a command loads no more than it runs.
 from . import FAMILY_TAGS, KINDS
-from .bitsets import CapacityError, format_bits
+from .bitsets import CapacityError, format_bits, strict_int
 
 
 def _read(path: str) -> str:
@@ -217,7 +217,11 @@ def _cmd_sizes(args) -> int:
     from . import harness
 
     low, _, high = args.n_range.partition("..")
-    report = harness.measure_family(args.family, int(low), int(high or low))
+    try:
+        bounds = strict_int(low), strict_int(high or low)
+    except ValueError:
+        raise ValueError(f"bad --n-range {args.n_range!r}, expected A..B") from None
+    report = harness.measure_family(args.family, *bounds)
     if args.csv:
         sys.stdout.write(harness.render_csv([report]))
     else:
@@ -248,16 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a matroid description")
     gen_sub = p.add_subparsers(dest="what", required=True)
     q = gen_sub.add_parser("uniform")
-    q.add_argument("r", type=int)
-    q.add_argument("n", type=int)
+    q.add_argument("r", type=strict_int)
+    q.add_argument("n", type=strict_int)
     q = gen_sub.add_parser("family")
     q.add_argument("tag", choices=FAMILY_TAGS)
-    q.add_argument("n", type=int)
+    q.add_argument("n", type=strict_int)
     q = gen_sub.add_parser("phi")
     q.add_argument("graph")
     q = gen_sub.add_parser("phir")
     q.add_argument("graph")
-    q.add_argument("r", type=int)
+    q.add_argument("r", type=strict_int)
     q = gen_sub.add_parser("bicircular")
     q.add_argument("graph")
     for q in gen_sub.choices.values():
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m1")
     p.add_argument("m2")
     p.add_argument("m3")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=strict_int, required=True)
     p.add_argument("--algorithm", default="exhaustive", choices=("bases", "exhaustive"))
     p.add_argument("--strict", action="store_true")
     p.set_defaults(handler=_cmd_intersect3)
@@ -298,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("h")
     q = red_sub.add_parser("indepset")
     q.add_argument("graph")
-    q.add_argument("-k", type=int, required=True)
-    q.add_argument("-r", type=int, default=3)
+    q.add_argument("-k", type=strict_int, required=True)
+    q.add_argument("-r", type=strict_int, default=3)
     for q in red_sub.choices.values():
         q.add_argument("--verify", action="store_true")
         q.add_argument("--out-prefix", default="reduction")

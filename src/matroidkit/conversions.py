@@ -7,30 +7,37 @@ pairs without a lattice path fall back to exhaustive re-encoding, and
 the planner reports which route was taken.
 
 Cost of each edge for k listed input sets on n elements, before the
-canonical sort of its output:
+canonical sort of its output.  The array passes work in blocks of at
+most ``descriptions.BLOCK_CELLS`` cells, so memory grows with k and n,
+never with 2^n:
 
 - rank -> spanning / independent: O(k), one pass over the 2^n rows;
 - spanning -> bases, independent -> bases, flats -> hyperplanes:
   O(k * |output|) subset tests (``bitsets.minimal_sets``/``maximal_sets``);
 - independent -> flats: O(k * n) lookups; flats -> cyclicflats the same,
-  after ranking the flats in O(k^2) vectorised steps;
-- bases -> circuits: O(k * n^2) exchange lookups; bases -> hyperplanes
-  the same on the dual, between two O(k) complement passes
-  (``descriptions.dual``);
+  after ranking the flats by height groups, one cardinality level at a
+  time: O(k^2) pair cells in at most (n + 1)^2 array passes;
+- bases -> circuits: O(k * n^2) exchange lookups, as n ``searchsorted``
+  passes over the (basis, element) pairs; bases -> hyperplanes the same
+  on the dual, between two O(k) complement passes (``descriptions.dual``);
 - circuits -> nsc: O(k * n), the rank by n queries; hyperplanes ->
   dephyp the same on the dual, between two O(k) complement passes;
-- bases -> cyclicflats: closures, n queries of O(k) each, of the
-  fundamental circuits and then of pairwise unions, at most r passes.
+- bases -> cyclicflats: closures of the fundamental circuits and then
+  of the distinct pairwise unions, at most r passes; each batch of m
+  masks is closed in 2n array passes of m * k cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from . import tables
 from .bitsets import canonical_order, elements, full_mask, maximal_sets, minimal_sets
-from .descriptions import Description, canonical, dual, encode_from_oracle, to_view
+from .descriptions import BLOCK_CELLS, Description, canonical, disjoint_from_some, dual
+from .descriptions import encode_from_oracle, to_view
 from .core import MatroidView
 
 
@@ -55,20 +62,54 @@ class ConversionPlan:
 # -- per-edge algorithms -------------------------------------------------
 
 
-def _fundamental_circuits(bases: List[int], n: int) -> List[int]:
-    """All fundamental circuits C(e, B) over the listed bases."""
-    listed = set(bases)
+def _fundamental_circuits(bases: Sequence[int], n: int) -> List[int]:
+    """All fundamental circuits C(e, B) over the listed bases: e with
+    every f in B for which B - f + e is listed.  Each (B, e) pair is one
+    row of a block of bases; each f is one ``searchsorted`` pass of the
+    rows' exchanges over the sorted bases."""
+    listed = np.sort(np.array(bases, dtype=np.int64))
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
     circuits = set()
-    full = full_mask(n)
-    for b in bases:
-        for e in elements(full & ~b):
-            ebit = 1 << e
-            c = ebit
-            for f in elements(b):
-                if (b | ebit) & ~(1 << f) in listed:
-                    c |= 1 << f
-            circuits.add(c)
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    for lo in range(0, len(listed), step):
+        block = listed[lo : lo + step]
+        rows, cols = np.nonzero(block[:, None] & bits == 0)
+        base, circuit = block[rows], bits[cols]
+        grown = base | circuit
+        for bit in bits.tolist():
+            has = np.flatnonzero(base & bit)
+            swapped = grown[has] ^ bit
+            at = np.searchsorted(listed, swapped)
+            circuit[has[listed.take(at, mode="clip") == swapped]] |= bit
+        circuits.update(circuit.tolist())
     return canonical_order(circuits)
+
+
+def _greedy_bases(masks: np.ndarray, bases: np.ndarray, n: int) -> np.ndarray:
+    """The basis of each mask that ``MatroidView.basis_of`` grows on a
+    bases view, where a set is independent when it lies inside some
+    listed basis: one vector pass per element, in ascending order."""
+    outside = ~bases
+    picked = np.zeros_like(masks)
+    for e in range(n):
+        rows = np.flatnonzero(masks >> e & 1)
+        trial = picked[rows] | 1 << e
+        fits = disjoint_from_some(trial, outside)
+        picked[rows[fits]] = trial[fits]
+    return picked
+
+
+def _closures(masks: np.ndarray, bases: np.ndarray, n: int) -> np.ndarray:
+    """The closure of each mask as ``MatroidView.closure`` finds it on a
+    bases view: the mask and each element e outside it whose addition to
+    the mask's greedy basis leaves every listed basis."""
+    picked = _greedy_bases(masks, bases, n)
+    outside = ~bases
+    closed = masks.copy()
+    for e in range(n):
+        rows = np.flatnonzero(masks >> e & 1 == 0)
+        closed[rows[~disjoint_from_some(picked[rows] | 1 << e, outside)]] |= 1 << e
+    return closed
 
 
 def _independent_to_flats(desc: Description) -> Description:
@@ -90,21 +131,25 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
 
     The working list of a matroid never exceeds the number of listed
     bases (``ValueError`` if it does), and the loop runs at most r(M)
-    passes (stopping early once a pass adds nothing).
+    passes (stopping early once a pass adds nothing).  Each pass closes
+    its distinct pairwise unions in batches of rows.
     """
     view = to_view(desc)
-    b_count = len(desc.sets)
-    circuits = _fundamental_circuits(list(desc.sets), desc.n)
-    found = {view.closure(c) for c in circuits}
-    found.add(view.closure(0))
+    n, b_count = desc.n, len(desc.sets)
+    bases = np.array(desc.sets, dtype=np.int64)
+    seeds = _fundamental_circuits(desc.sets, n) + [0]
+    found = set(_closures(np.array(seeds, dtype=np.int64), bases, n).tolist())
     for _ in range(view.full_rank):
         if len(found) > b_count:
             break
-        flats = sorted(found)
+        flats = np.array(list(found), dtype=np.int64)
         new = set()
-        for i, z1 in enumerate(flats):
-            for z2 in flats[i + 1 :]:
-                new.add(view.closure(z1 | z2))
+        step = max(1, BLOCK_CELLS // len(flats))
+        for lo in range(0, len(flats), step):
+            rows = np.arange(lo, min(lo + step, len(flats)))
+            unions = (flats[rows, None] | flats)[np.arange(len(flats)) > rows[:, None]]
+            unions = np.array(list(set(unions.tolist())), dtype=np.int64)
+            new.update(_closures(unions, bases, n).tolist())
         if new <= found:
             break
         found |= new
@@ -113,7 +158,8 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
             "cyclic-flat working list exceeds the basis count (not a matroid)"
         )
     cyclic = list(found)
-    return canonical("cyclicflats", desc.n, cyclic, [view.rank(z) for z in cyclic])
+    picked = _greedy_bases(np.array(cyclic, dtype=np.int64), bases, n)
+    return canonical("cyclicflats", n, cyclic, [b.bit_count() for b in picked.tolist()])
 
 
 def _flats_to_cyclicflats(desc: Description) -> Description:
@@ -145,12 +191,12 @@ _RULES: Dict[Tuple[str, str], Callable[[Description], Description]] = {
     ("independent", "bases"): lambda d: canonical("bases", d.n, maximal_sets(d.sets)),
     ("independent", "flats"): _independent_to_flats,
     ("bases", "circuits"): lambda d: canonical(
-        "circuits", d.n, _fundamental_circuits(list(d.sets), d.n)
+        "circuits", d.n, _fundamental_circuits(d.sets, d.n)
     ),
     ("bases", "cyclicflats"): _bases_to_cyclicflats,
     # the hyperplanes are the complements of the dual's circuits
     ("bases", "hyperplanes"): lambda d: dual(
-        canonical("circuits", d.n, _fundamental_circuits(list(dual(d).sets), d.n))
+        canonical("circuits", d.n, _fundamental_circuits(dual(d).sets, d.n))
     ),
     ("flats", "cyclicflats"): _flats_to_cyclicflats,
     # the hyperplanes are the maximal proper flats

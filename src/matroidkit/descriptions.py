@@ -31,7 +31,7 @@ import numpy as np
 
 from . import KINDS, tables
 from .bitsets import canonical_order, check_ground, check_mask, format_bits, full_mask
-from .bitsets import minimal_sets, parse_bits
+from .bitsets import minimal_sets, parse_bits, strict_int
 from .core import MatroidView
 
 #: Kinds whose lines carry a per-set rank annotation.
@@ -139,13 +139,6 @@ def content_lines(text) -> Iterator[Tuple[int, str]]:
             yield lineno, line
 
 
-def _strict_int(text: str) -> int:
-    """``int`` of ASCII digits with an optional leading ``-`` only."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
-        raise ValueError
-    return int(text)
-
-
 def int_records(text, tag: str, key: str, width: int) -> Tuple[int, List[Tuple[int, ...]]]:
     """Read a ``<tag> <key>=<int>`` header and then lines of ``width``
     integers each: the line format of the graph and 3DM inputs."""
@@ -157,11 +150,11 @@ def int_records(text, tag: str, key: str, width: int) -> Tuple[int, List[Tuple[i
             if value is None:
                 if len(fields) != 2 or fields[0] != tag or not fields[1].startswith(f"{key}="):
                     raise ValueError
-                value = _strict_int(fields[1][len(key) + 1 :])
+                value = strict_int(fields[1][len(key) + 1 :])
             elif len(fields) != width:
                 raise ValueError
             else:
-                records.append(tuple(_strict_int(x) for x in fields))
+                records.append(tuple(strict_int(x) for x in fields))
         except ValueError:
             expected = f"header '{tag} {key}=<{key}>'" if value is None else f"{width} integers"
             raise ParseError(f"expected {expected}, got {line!r}", lineno) from None
@@ -191,7 +184,7 @@ def parse(text) -> Description:
                 if key not in ("n", "r") or key in opts:
                     raise ParseError(f"bad header field {field!r}", lineno)
                 try:
-                    opts[key] = _strict_int(value)
+                    opts[key] = strict_int(value)
                 except ValueError:
                     raise ParseError(f"bad header field {field!r}", lineno) from None
             if "n" not in opts:
@@ -217,7 +210,7 @@ def parse(text) -> Description:
             if not sep:
                 raise ParseError(f"kind {kind!r} requires '<bits>:<rank>' lines", lineno)
             try:
-                rank = _strict_int(annot.strip())
+                rank = strict_int(annot.strip())
             except ValueError:
                 raise ParseError(f"bad rank annotation {annot!r}", lineno) from None
             if not 0 <= rank <= n:
@@ -262,15 +255,50 @@ def size_of(desc: Description) -> SizeMeasure:
 # -- decoding ------------------------------------------------------------
 
 
+#: Cells of the largest (masks x listed sets) temporary that a batched
+#: subset test builds: 64 KiB of int64.
+BLOCK_CELLS = 1 << 13
+
+
+def disjoint_from_some(masks: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Whether each of ``masks`` is disjoint from some of ``others``, in
+    row blocks of at most ``BLOCK_CELLS`` pairs.  A lies inside some
+    listed B when A is disjoint from some ~B; F holds some listed G when
+    ~F is disjoint from some G."""
+    hit = np.zeros(len(masks), dtype=bool)
+    if len(others):
+        step = max(1, BLOCK_CELLS // len(others))
+        for lo in range(0, len(masks), step):
+            hit[lo : lo + step] = (masks[lo : lo + step, None] & others == 0).any(axis=1)
+    return hit
+
+
 def _flat_heights(flat_list: Sequence[int]) -> Dict[int, int]:
-    """The longest chain below each flat (its rank in a matroid lattice),
-    by one vector pass per flat over the flats before it canonically."""
+    """The longest chain below each flat (its rank in a matroid lattice).
+
+    The flats are placed one cardinality level at a time.  Flats of equal
+    size are never strict subsets of each other, so a level depends only
+    on the flats already placed.  Those are tried by height, highest
+    first, and a flat takes one more than the first height whose group
+    holds one of its subsets (0 if none does): at most n + 1 groups per
+    level, since a flat of height h has at least h elements, and O(k^2)
+    pair cells in all, in ``disjoint_from_some`` blocks."""
     order = canonical_order(flat_list)
     masks = np.array(order, dtype=np.int64)
     heights = np.zeros(len(order), dtype=np.int64)
-    for i, f in enumerate(order):
-        earlier = masks[:i]
-        heights[i] = np.max(heights[:i], where=earlier & f == earlier, initial=-1) + 1
+    sizes = [f.bit_count() for f in order]
+    starts = [i for i in range(1, len(order)) if sizes[i] != sizes[i - 1]]
+    lo = 0
+    for hi in starts + [len(order)]:
+        pending = np.arange(lo, hi)
+        placed, placed_heights = masks[:lo], heights[:lo]
+        for h in range(int(placed_heights.max(initial=-1)), -1, -1):
+            hit = disjoint_from_some(~masks[pending], placed[placed_heights == h])
+            heights[pending[hit]] = h + 1
+            pending = pending[~hit]
+            if not len(pending):
+                break
+        lo = hi
     return dict(zip(order, heights.tolist()))
 
 

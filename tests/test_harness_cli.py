@@ -204,6 +204,38 @@ def test_cli_iso_encode_prints_every_vertex_and_edge(tmp_path, capsys, kind):
     assert list(g.edges) == sorted(g.edges)
 
 
+#: Integer arguments that plain ``int`` accepts and the CLI refuses.
+LOOSE_ARGUMENTS = [
+    ["gen", "uniform", "1", "\u0663"],
+    ["gen", "uniform", "+1", "3"],
+    ["gen", "uniform", "1", "3_0"],
+    ["gen", "family", "L10", "+3"],
+    ["gen", "phir", "g.txt", "\u0662"],
+    ["intersect3", "m.txt", "m.txt", "m.txt", "-k", "+1"],
+    ["reduce", "indepset", "g.txt", "-k", "1_0"],
+    ["reduce", "indepset", "g.txt", "-k", "1", "-r", "+3"],
+]
+
+
+@pytest.mark.parametrize("argv", LOOSE_ARGUMENTS, ids=" ".join)
+def test_cli_reads_integer_arguments_strictly(tmp_path, capsys, argv):
+    out = ["--out-prefix", str(tmp_path / "r")] if argv[0] == "reduce" else []
+    out += ["--out", str(tmp_path / "o.txt")] if argv[0] == "gen" else []
+    with pytest.raises(SystemExit) as stop:
+        main(argv + out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("span", ["..3", "+3..\u0663", "3_0", "2..x", "3..+4"])
+def test_cli_reads_the_size_range_strictly(capsys, span):
+    assert main(["sizes", "--family", "L10", "--n-range", span]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad --n-range {span!r}, expected A..B\n"
+
+
 def test_cli_intersect3(tmp_path, capsys):
     f = str(tmp_path / "m.txt")
     main(["gen", "uniform", "1", "2", "--as", "bases", "--out", f])

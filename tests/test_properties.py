@@ -173,7 +173,7 @@ def test_validate_matches_basis_exchange(drawn):
 
 distinct_families = st.integers(0, 8).flatmap(
     lambda n: st.tuples(
-        st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=40)
+        st.just(n), st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=60)
     )
 )
 
