@@ -25,6 +25,11 @@ never with 2^n:
 - bases -> cyclicflats: closures of the fundamental circuits and then
   of the distinct pairwise unions, at most r passes; each batch of m
   masks is closed in 2n array passes of m * k cells.
+
+Only the array passes load numpy: bases -> circuits, hyperplanes and
+cyclicflats, and flats -> cyclicflats.  The other eight rules and the
+planner are pure Python, so a ``convert`` along them never imports
+numpy; the exhaustive fallback builds tables and loads it.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from . import tables
+# numpy and ``tables`` load in the functions that use them (see above);
+# ``np`` in annotations is never evaluated
 from .bitsets import canonical_order, elements, full_mask, maximal_sets, minimal_sets
 from .descriptions import BLOCK_CELLS, Description, canonical, disjoint_from_some, dual
 from .descriptions import encode_from_oracle, to_view
@@ -67,6 +71,8 @@ def _fundamental_circuits(bases: Sequence[int], n: int) -> List[int]:
     every f in B for which B - f + e is listed.  Each (B, e) pair is one
     row of a block of bases; each f is one ``searchsorted`` pass of the
     rows' exchanges over the sorted bases."""
+    import numpy as np
+
     listed = np.sort(np.array(bases, dtype=np.int64))
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     circuits = set()
@@ -89,6 +95,8 @@ def _greedy_bases(masks: np.ndarray, bases: np.ndarray, n: int) -> np.ndarray:
     """The basis of each mask that ``MatroidView.basis_of`` grows on a
     bases view, where a set is independent when it lies inside some
     listed basis: one vector pass per element, in ascending order."""
+    import numpy as np
+
     outside = ~bases
     picked = np.zeros_like(masks)
     for e in range(n):
@@ -103,6 +111,8 @@ def _closures(masks: np.ndarray, bases: np.ndarray, n: int) -> np.ndarray:
     """The closure of each mask as ``MatroidView.closure`` finds it on a
     bases view: the mask and each element e outside it whose addition to
     the mask's greedy basis leaves every listed basis."""
+    import numpy as np
+
     picked = _greedy_bases(masks, bases, n)
     outside = ~bases
     closed = masks.copy()
@@ -134,6 +144,8 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
     passes (stopping early once a pass adds nothing).  Each pass closes
     its distinct pairwise unions in batches of rows.
     """
+    import numpy as np
+
     view = to_view(desc)
     n, b_count = desc.n, len(desc.sets)
     bases = np.array(desc.sets, dtype=np.int64)
@@ -257,6 +269,8 @@ def convert(desc: Description, to: str) -> Tuple[Description, ConversionPlan]:
 
 def count_cyclic_flats_vs_bases(view: MatroidView) -> Tuple[int, int]:
     """Exhaustive (z, b) counts; ``ValueError`` unless z <= b, as in a matroid."""
+    from . import tables
+
     families = tables.classify(view)
     z = int(families["cyclicflats"].sum())
     b = int(families["bases"].sum())

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+# numpy and ``tables`` load in the functions that build tables, so the
+# listed-data rules never load them; ``np`` in annotations is never evaluated
 from .bitsets import (
     canonical_order,
     check_ground,
@@ -120,6 +120,7 @@ class MatroidView:
             return self._rank(a)
         if self._indep is not None:
             return self._basis(a).bit_count()
+        # only here: a view with a predicate answers without numpy
         from . import tables
 
         return int(tables.rank_table(self)[a])
@@ -170,6 +171,8 @@ class MatroidView:
             raise ValueError(
                 f"truncation rank {target_rank} outside [0, {self.full_rank}]"
             )
+        import numpy as np
+
         from . import tables
 
         return tables.table_view(self.n, np.minimum(tables.rank_table(self), target_rank))
@@ -191,6 +194,8 @@ def _pull_back(view: MatroidView, images: Sequence[int], x: int = 0) -> MatroidV
 
 def direct_sum(a: MatroidView, b: MatroidView) -> MatroidView:
     """Disjoint union; b's elements are shifted up by a.n."""
+    import numpy as np
+
     from . import tables
 
     n = check_ground(a.n + b.n)  # raises CapacityError past the mask width

@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import KINDS, tables
+# numpy and ``tables`` load in the functions that run array passes or
+# build tables, so parsing, serializing and the per-query predicates never
+# load them; ``np`` in annotations is never evaluated
+from . import KINDS
 from .bitsets import canonical_order, check_ground, check_mask, format_bits, full_mask
 from .bitsets import minimal_sets, parse_bits, strict_int
 from .core import MatroidView
@@ -265,6 +266,8 @@ def disjoint_from_some(masks: np.ndarray, others: np.ndarray) -> np.ndarray:
     row blocks of at most ``BLOCK_CELLS`` pairs.  A lies inside some
     listed B when A is disjoint from some ~B; F holds some listed G when
     ~F is disjoint from some G."""
+    import numpy as np
+
     hit = np.zeros(len(masks), dtype=bool)
     if len(others):
         step = max(1, BLOCK_CELLS // len(others))
@@ -283,6 +286,8 @@ def _flat_heights(flat_list: Sequence[int]) -> Dict[int, int]:
     holds one of its subsets (0 if none does): at most n + 1 groups per
     level, since a flat of height h has at least h elements, and O(k^2)
     pair cells in all, in ``disjoint_from_some`` blocks."""
+    import numpy as np
+
     order = canonical_order(flat_list)
     masks = np.array(order, dtype=np.int64)
     heights = np.zeros(len(order), dtype=np.int64)
@@ -312,6 +317,10 @@ def _unlisted_intersection(n: int, closed: int) -> ValueError:
 def _flat_closure(n: int, flat_list: Sequence[int]) -> np.ndarray:
     """The intersection of the listed flats containing each mask (the
     ground set where none does): a superset-AND transform."""
+    import numpy as np
+
+    from . import tables
+
     closure = np.full(1 << n, full_mask(n), dtype=np.int32)
     closure[np.array(flat_list, dtype=np.int64)] = flat_list
     return tables.superset_and(closure, n)
@@ -356,10 +365,14 @@ def to_view(desc: Description) -> MatroidView:
     indep = rank = None
 
     def from_rank(ranks: np.ndarray) -> np.ndarray:
+        from . import tables
+
         return ranks == tables.popcounts(n)
 
     if kind == "rank":
         def source() -> np.ndarray:
+            import numpy as np
+
             ranks = np.zeros(1 << n, dtype=np.int8)
             ranks[np.array(sets, dtype=np.int64)] = desc.set_ranks
             return from_rank(ranks)
@@ -369,6 +382,8 @@ def to_view(desc: Description) -> MatroidView:
         indep = listed.__contains__
 
         def source() -> np.ndarray:
+            from . import tables
+
             return tables.indicator(n, sets)
 
     elif kind in ("spanning", "bases"):
@@ -380,6 +395,8 @@ def to_view(desc: Description) -> MatroidView:
             return any(a & b == a for b in bases)
 
         def source() -> np.ndarray:
+            from . import tables
+
             return tables.down_closure(tables.indicator(n, bases), n)
 
     elif kind in ("circuits", "nsc"):
@@ -390,6 +407,8 @@ def to_view(desc: Description) -> MatroidView:
             return a.bit_count() <= r and not any(a & c == c for c in sets)
 
         def source() -> np.ndarray:
+            from . import tables
+
             return ~tables.up_closure(tables.indicator(n, sets), n) & (tables.popcounts(n) <= r)
 
     elif kind in ("hyperplanes", "dephyp"):
@@ -399,6 +418,8 @@ def to_view(desc: Description) -> MatroidView:
             return co.rank(full & ~a) == co.full_rank
 
         def source() -> np.ndarray:
+            from . import tables
+
             # rank_table(co) would cache two tables on co, kept alive here
             co_rank = tables.rank_from_independence(co.table_source(), n)
             # full ^ m == 2^n - 1 - m, so the reversal reads r*(E - A)
@@ -419,6 +440,8 @@ def to_view(desc: Description) -> MatroidView:
             return heights[closed]
 
         def source() -> np.ndarray:
+            import numpy as np
+
             closure = _flat_closure(n, sets)
             height_of = np.full(1 << n, -1, dtype=np.int8)
             height_of[np.fromiter(heights, dtype=np.int64)] = list(heights.values())
@@ -437,6 +460,10 @@ def to_view(desc: Description) -> MatroidView:
             return min(rz + (a & ~z).bit_count() for z, rz in pairs)
 
         def source() -> np.ndarray:
+            import numpy as np
+
+            from . import tables
+
             pc = tables.popcounts(n)
             masks = np.arange(1 << n, dtype=np.int32)
             ranks = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
@@ -453,6 +480,8 @@ def to_view(desc: Description) -> MatroidView:
 def encode_from_oracle(view: MatroidView, kind: str) -> Description:
     """Exhaustively re-encode a view as any kind, by classifying every
     subset against the kind's defining predicate."""
+    from . import tables
+
     if kind not in KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
     if kind == "rank":
@@ -470,6 +499,8 @@ def semantically_equal(a: Description, b: Description) -> bool:
     """True iff the two descriptions induce the same rank function."""
     if a.n != b.n:
         raise ValueError(f"ground sets differ: {a.n} vs {b.n}")
+    from . import tables
+
     return tables.views_equal(to_view(a), to_view(b))
 
 
@@ -499,6 +530,10 @@ class ValidationReport:
 def _antichain_violation(sets: Sequence[int], n: int) -> str:
     """Empty for an antichain; otherwise names a listed set that contains
     another listed set."""
+    import numpy as np
+
+    from . import tables
+
     listed = tables.indicator(n, sets)
     above = np.flatnonzero(listed & tables.strict_up_closure(listed, n))
     if not len(above):
@@ -510,6 +545,8 @@ def _antichain_violation(sets: Sequence[int], n: int) -> str:
 
 def _matroid_check(view: MatroidView) -> Tuple[str, bool, str]:
     """The matroid-axiom check on the decoded table, with a witness."""
+    from . import tables
+
     broken = tables.matroid_violation(view)
     if broken is None:
         return "matroid", True, ""
@@ -541,6 +578,10 @@ def validate(desc: Description) -> ValidationReport:
 
     Never raises; every problem becomes a failed check in the report.
     """
+    import numpy as np
+
+    from . import tables
+
     checks: List[Tuple[str, bool, str]] = []
     n, kind, sets = desc.n, desc.kind, desc.sets
 

@@ -306,17 +306,6 @@ class EncodedBipartiteGraph:
     edges: Set[Tuple[object, object]]
     roles: Dict[object, str]
 
-    @property
-    def graph(self):
-        """The encoding as a ``networkx.Graph``; the only networkx use,
-        imported here because it is slow to import."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.roles)
-        g.add_edges_from(self.edges)
-        return g
-
 
 def _attach_triangle(enc: EncodedBipartiteGraph, hub, tag) -> None:
     t0, t1 = ("t", tag, 0), ("t", tag, 1)

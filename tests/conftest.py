@@ -70,6 +70,17 @@ def minor_hosts():
     return views
 
 
+def encoded_graph(encoded):
+    """An ``EncodedBipartiteGraph`` as a ``networkx.Graph``, for checks
+    against networkx; the library itself never imports networkx."""
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(encoded.roles)
+    g.add_edges_from(encoded.edges)
+    return g
+
+
 def corpus_params():
     return [pytest.param(view, id=name) for name, view in corpus().items()]
 

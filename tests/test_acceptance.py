@@ -40,7 +40,7 @@ from matroidkit import (
 from matroidkit.bitsets import from_elements
 from matroidkit.tables import classify, family_masks, views_equal
 
-from conftest import C4, K3, K13, K3_PLUS_ISOLATED, P3, P4, corpus, minor_hosts
+from conftest import C4, K3, K13, K3_PLUS_ISOLATED, P3, P4, corpus, encoded_graph, minor_hosts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -275,7 +275,7 @@ def test_criterion_7_isomorphism_properties(capsys):
 
     # the bipartite encoding agrees with the direct checker
     def encoded(view):
-        return encode_bipartite(encode_from_oracle(view, "nsc")).graph
+        return encoded_graph(encode_bipartite(encode_from_oracle(view, "nsc")))
 
     for i, j in combinations(range(len(graphs3)), 2):
         direct = isomorphic(phis[i], phis[j]) is not None

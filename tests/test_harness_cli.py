@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from matroidkit import (
+    EDGES,
     encode_bipartite,
     encode_from_oracle,
     measure_family,
+    parallel_blowup,
     parse,
     parse_graph,
     render_csv,
@@ -500,7 +502,8 @@ def _fresh_main(*argv: str, blas_threads=None):
     return json.loads(_fresh(RUN_MAIN, *argv, blas_threads=blas_threads).splitlines()[-1])
 
 
-@pytest.mark.parametrize("module", ["matroidkit", "matroidkit.cli"])
+@pytest.mark.parametrize("module", ["matroidkit", "matroidkit.cli", "matroidkit.conversions",
+                                    "matroidkit.descriptions", "matroidkit.core"])
 def test_import_leaves_numpy_unloaded(module):
     code = f"import sys, {module}; print('numpy' in sys.modules)"
     assert _fresh(code).strip() == "False"
@@ -539,3 +542,92 @@ def test_cli_command_runs_on_one_thread(tmp_path):
     code, modules, _, threads = _fresh_main("gen", "uniform", "2", "4", "--out", out)
     assert code == 0 and "matroidkit.tables" in modules
     assert threads == 1
+
+
+#: Runs ``main(sys.argv[2:])`` in a fresh interpreter in which each
+#: comma-separated module named in ``sys.argv[1]`` is unimportable, and
+#: prints as its last stderr line the exit code and whether numpy loaded.
+BLOCKED_MAIN = (
+    "import json, sys\n"
+    "for name in filter(None, sys.argv[1].split(',')):\n"
+    "    sys.modules[name] = None\n"
+    "from matroidkit.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "sys.stdout.flush()\n"
+    "print(json.dumps([code, sys.modules.get('numpy') is not None]), file=sys.stderr)\n"
+)
+
+
+def _blocked_main(blocked: str, *argv: str):
+    """(exit code, stdout, stderr lines, whether numpy loaded) of
+    ``main(argv)`` in a fresh interpreter where the modules in ``blocked``
+    cannot be imported."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", BLOCKED_MAIN, blocked, *argv], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    *err, last = out.stderr.splitlines()
+    code, numpy_loaded = json.loads(last)
+    return code, out.stdout, err, numpy_loaded
+
+
+#: A ``convert`` along each lattice edge, then a ``validate``: (input kind,
+#: command, whether it loads numpy).  The four array-pass edges and
+#: validate's table checks load it; the eight pure-Python rules do not.
+ARRAY_EDGES = {("bases", "circuits"), ("bases", "cyclicflats"), ("bases", "hyperplanes"),
+               ("flats", "cyclicflats")}
+STARTUP_COMMANDS = [
+    pytest.param(src, ["convert", "--to", dst, "--in"], (src, dst) in ARRAY_EDGES,
+                 id=f"{src}->{dst}")
+    for src, dst in EDGES
+] + [pytest.param("bases", ["validate"], True, id="validate")]
+
+
+@pytest.mark.parametrize("kind, command, loads_numpy", STARTUP_COMMANDS)
+def test_only_array_commands_load_numpy(tmp_path, kind, command, loads_numpy):
+    # 2U(2,3) has parallel pairs, so every listed kind is non-empty
+    desc = encode_from_oracle(parallel_blowup(uniform(2, 3), 2), kind)
+    argv = [*command, _write(tmp_path, f"{kind}.txt", serialize(desc))]
+    code, out, err, loaded = _blocked_main("", *argv)
+    assert code == 0 and out
+    assert loaded == loads_numpy
+    if not loads_numpy:
+        # any numpy import on the way would raise ImportError here
+        assert _blocked_main("numpy", *argv) == (code, out, err, False)
+        assert err == [f"plan: {kind} -> {command[2]}"]
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    for r, n, kind in [(2, 5, "bases"), (2, 5, "circuits"), (2, 4, "circuits")]:
+        (d / f"u{r}{n}.{kind}.txt").write_text(serialize(encode_from_oracle(uniform(r, n), kind)))
+    (d / "k3.graph").write_text("graph n=3\n0 1\n1 2\n0 2\n")
+    (d / "p3.graph").write_text("graph n=3\n0 1\n1 2\n")
+    (d / "ts.3dm").write_text("3dm s=2\n0 0 0\n1 1 1\n0 1 1\n")
+    return d
+
+
+#: One small run of every subcommand; ``{d}`` is the inputs directory.
+SUBCOMMANDS = {
+    "convert": "convert --in {d}/u25.bases.txt --to hyperplanes",
+    "validate": "validate {d}/u25.bases.txt",
+    "gen": "gen phi {d}/k3.graph --as nsc",
+    "minor": "minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt",
+    "iso": "iso {d}/u25.bases.txt {d}/u25.bases.txt",
+    "iso-encode": "iso --encode {d}/u24.circuits.txt",
+    "intersect3": "intersect3 {d}/u25.bases.txt {d}/u25.bases.txt {d}/u25.bases.txt -k 2",
+    "reduce-3dm": "reduce 3dm {d}/ts.3dm --verify --out-prefix {d}/r3",
+    "reduce-subgraph": "reduce subgraph {d}/k3.graph {d}/p3.graph --verify --out-prefix {d}/rs",
+    "sizes": "sizes --family L10 --n-range 3..4 --csv",
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_every_subcommand_runs_without_networkx(small_inputs, name):
+    # networkx is a test dependency only
+    argv = SUBCOMMANDS[name].format(d=small_inputs).split()
+    code, out, _, _ = _blocked_main("", *argv)
+    assert code == 0 and out
+    assert _blocked_main("networkx", *argv)[:2] == (code, out)

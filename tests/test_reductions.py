@@ -30,7 +30,7 @@ from matroidkit import (
 from matroidkit.bitsets import CapacityError
 from matroidkit.reductions import MinorWitness, TripleSystem, _distinct_unions
 
-from conftest import K3, P3
+from conftest import K3, P3, encoded_graph
 
 
 # -- isomorphism ---------------------------------------------------------
@@ -173,9 +173,10 @@ def test_encode_bipartite_single_set():
     roles = encoded.roles
     core = [v for v, role in roles.items() if role in ("set", "element")]
     assert len(core) == 2
-    assert encoded.graph.has_edge(("s", 0), ("e", 0))
+    graph = encoded_graph(encoded)
+    assert graph.has_edge(("s", 0), ("e", 0))
     # triangles only in gadgets: anchor has 3, the set has 1
-    tri = nx.triangles(encoded.graph)
+    tri = nx.triangles(graph)
     assert tri[("anchor",)] == 3
     assert tri[("s", 0)] == 1
     assert tri[("e", 0)] == 0
@@ -183,14 +184,14 @@ def test_encode_bipartite_single_set():
 
 def test_encode_bipartite_graph_is_built_from_roles_and_edges():
     encoded = encode_bipartite(encode_from_oracle(separation_family("L17", 2), "cyclicflats"))
-    g = encoded.graph
+    g = encoded_graph(encoded)
     assert list(g.nodes) == list(encoded.roles)
     assert g.number_of_edges() == len(encoded.edges)
     assert all(g.has_edge(u, w) for u, w in encoded.edges)
 
 
 def _encoded_graph(view):
-    return encode_bipartite(encode_from_oracle(view, "bases")).graph
+    return encoded_graph(encode_bipartite(encode_from_oracle(view, "bases")))
 
 
 def test_encode_bipartite_preserves_and_reflects_isomorphism():
@@ -214,7 +215,7 @@ def test_encode_bipartite_rank_gadgets_distinguish_headers():
     b = encode_from_oracle(uniform(3, 4), "nsc")
     assert a.sets == b.sets == ()
     assert not nx.is_isomorphic(
-        encode_bipartite(a).graph, encode_bipartite(b).graph
+        encoded_graph(encode_bipartite(a)), encoded_graph(encode_bipartite(b))
     )
 
 

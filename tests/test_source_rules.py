@@ -35,20 +35,26 @@ def _module_level_imports(node):
 
 
 def _networkx_lines(source: str):
-    tree = ast.parse(source)
-    return [
-        node.lineno
-        for node, names in _module_level_imports(tree)
-        if any(name.split(".")[0] == "networkx" for name in names)
-    ]
+    """Lines of every networkx import, also inside function bodies."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "networkx" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_library_imports_networkx_only_inside_functions(path):
-    # importing networkx takes about 0.2 s; at module level it would put
-    # that on every CLI start, so only the functions that need it import it
+    # networkx is a test dependency only: the tests compare the bipartite
+    # encoding with networkx graphs, and no library code may import it
     lines = _networkx_lines(path.read_text(encoding="utf-8"))
-    assert not lines, f"{path.name}: networkx imported outside a function on line(s) {lines}"
+    assert not lines, f"{path.name}: networkx imported on line(s) {lines}"
 
 
 def test_the_networkx_rule_sees_guarded_and_nested_imports():
@@ -63,7 +69,57 @@ def test_the_networkx_rule_sees_guarded_and_nested_imports():
         "        import networkx as nx\n"
         "        return nx.Graph()\n"
     )
-    assert _networkx_lines(source) == [2, 4, 6]
+    assert _networkx_lines(source) == [2, 4, 6, 8]
+
+
+#: The modules on the path of a command that only parses, runs listed-data
+#: rules and serializes; the array layer and the modules built on it may
+#: load only inside their functions, which run array passes or build tables.
+LISTED_PATH = ("__init__.py", "bitsets.py", "cli.py", "conversions.py", "core.py",
+               "descriptions.py")
+ARRAY_MODULES = frozenset({"numpy", "tables", "families", "reductions", "harness"})
+
+
+def _array_import_lines(source: str):
+    """Lines outside function bodies that import numpy or one of the
+    array modules, in any form: ``import numpy``, ``from . import tables``,
+    ``from .families import phi``, ``import matroidkit.harness``."""
+    lines = []
+    for node, _ in _module_level_imports(ast.parse(source)):
+        names = [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if any(ARRAY_MODULES & set(name.split(".")) for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", LISTED_PATH)
+def test_listed_path_imports_numpy_only_inside_functions(name):
+    # importing numpy takes 0.12-0.15 s, about half of a convert along a
+    # pure-Python edge; at module level every command would pay it
+    path = SOURCES[0].parent / name
+    lines = _array_import_lines(path.read_text(encoding="utf-8"))
+    assert not lines, f"{name}: numpy or an array module imported outside a function on line(s) {lines}"
+
+
+def test_the_array_import_rule_sees_every_form():
+    source = (
+        "import numpy as np\n"
+        "from numpy import zeros\n"
+        "from . import KINDS, tables\n"
+        "from .families import phi\n"
+        "from matroidkit import reductions\n"
+        "import matroidkit.harness\n"
+        "from .bitsets import elements\n"
+        "from . import KINDS\n"
+        "if True:\n"
+        "    import numpy.linalg\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    from . import tables\n"
+    )
+    assert _array_import_lines(source) == [1, 2, 3, 4, 5, 6, 10]
 
 
 #: numpy entry points that call BLAS.  ``cli.main`` starts numpy with one
