@@ -544,13 +544,13 @@ def test_cli_command_runs_on_one_thread(tmp_path):
     assert threads == 1
 
 
-#: Runs ``main(sys.argv[2:])`` in a fresh interpreter in which each
-#: comma-separated module named in ``sys.argv[1]`` is unimportable, and
-#: prints as its last stderr line the exit code and whether numpy loaded.
+#: Runs ``main(sys.argv[2:])`` in a fresh interpreter in which the module
+#: named by ``sys.argv[1]``, if any, is unimportable, and prints as its
+#: last stderr line the exit code and whether numpy loaded.
 BLOCKED_MAIN = (
     "import json, sys\n"
-    "for name in filter(None, sys.argv[1].split(',')):\n"
-    "    sys.modules[name] = None\n"
+    "if sys.argv[1]:\n"
+    "    sys.modules[sys.argv[1]] = None\n"
     "from matroidkit.cli import main\n"
     "code = main(sys.argv[2:])\n"
     "sys.stdout.flush()\n"
@@ -560,8 +560,8 @@ BLOCKED_MAIN = (
 
 def _blocked_main(blocked: str, *argv: str):
     """(exit code, stdout, stderr lines, whether numpy loaded) of
-    ``main(argv)`` in a fresh interpreter where the modules in ``blocked``
-    cannot be imported."""
+    ``main(argv)`` in a fresh interpreter where the module ``blocked``,
+    unless empty, cannot be imported."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", BLOCKED_MAIN, blocked, *argv], env=env, capture_output=True,

@@ -96,8 +96,8 @@ def _array_import_lines(source: str):
 
 @pytest.mark.parametrize("name", LISTED_PATH)
 def test_listed_path_imports_numpy_only_inside_functions(name):
-    # importing numpy takes 0.12-0.15 s, about half of a convert along a
-    # pure-Python edge; at module level every command would pay it
+    # numpy's import is about half of a convert along a pure-Python edge;
+    # at module level every command would pay it
     path = SOURCES[0].parent / name
     lines = _array_import_lines(path.read_text(encoding="utf-8"))
     assert not lines, f"{name}: numpy or an array module imported outside a function on line(s) {lines}"
