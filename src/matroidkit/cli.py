@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 # Only numpy-free names at module level: each handler imports the modules
 # its subcommand needs, so a command loads no more than it runs.
@@ -29,11 +30,14 @@ def _load_description(path: str):
     return parse(_read(path))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write text, piece by piece, to stdout or to the file ``out``.
+    Never ``sys.stdout.buffer``: a redirected stdout may have none."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    with open(out, "w", encoding="utf-8") as f:
+        f.writelines(chunks)
 
 
 def _print_witness(w, n: int) -> None:
@@ -46,17 +50,18 @@ def _print_witness(w, n: int) -> None:
 
 
 def _cmd_convert(args) -> int:
-    from .conversions import convert
-    from .descriptions import encode_from_oracle, serialize, to_view
+    from .conversions import convert, plan
+    from .descriptions import encode_text, serialize, to_view
 
     desc = _load_description(args.infile)
-    if args.force_exhaustive:
-        out = encode_from_oracle(to_view(desc), args.to)
-        print("plan: exhaustive (forced)", file=sys.stderr)
+    route = plan(desc.kind, args.to)
+    if args.force_exhaustive or route.exhaustive:
+        text = encode_text(to_view(desc), args.to)
     else:
-        out, route = convert(desc, args.to)
-        print(f"plan: {route.describe()}", file=sys.stderr)
-    _emit(serialize(out), args.out)
+        text = [serialize(convert(desc, args.to)[0])]
+    described = "exhaustive (forced)" if args.force_exhaustive else route.describe()
+    print(f"plan: {described}", file=sys.stderr)
+    _emit(text, args.out)
     return 0
 
 
@@ -69,7 +74,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .descriptions import encode_from_oracle, serialize
+    from .descriptions import encode_text
     from .families import bicircular, parse_graph, phi, phi_r, separation_family, uniform
 
     if args.what == "uniform":
@@ -82,7 +87,7 @@ def _cmd_gen(args) -> int:
         view = phi_r(parse_graph(_read(args.graph)), args.r)
     else:  # bicircular
         view = bicircular(parse_graph(_read(args.graph)))
-    _emit(serialize(encode_from_oracle(view, args.as_kind)), args.out)
+    _emit(encode_text(view, args.as_kind), args.out)
     return 0
 
 
@@ -118,7 +123,7 @@ def _cmd_iso(args) -> int:
         edges = sorted(
             (min(index[a], index[b]), max(index[a], index[b])) for a, b in encoded.edges
         )
-        _emit(serialize_graph(MultiGraph(len(index), tuple(edges))), args.out)
+        _emit([serialize_graph(MultiGraph(len(index), tuple(edges)))], args.out)
         return 0
     if not args.a or not args.b:
         print("iso needs two description files (or --encode FILE)", file=sys.stderr)
@@ -169,8 +174,8 @@ def _cmd_reduce(args) -> int:
         ts = reductions.parse_3dm(_read(args.file))
         built = reductions.reduce_3dm(ts)
         for i in range(3):
-            _emit(serialize(built.circuits[i]), f"{prefix}.m{i + 1}.circuits.txt")
-            _emit(serialize(built.hyperplanes[i]), f"{prefix}.m{i + 1}.hyperplanes.txt")
+            _emit([serialize(built.circuits[i])], f"{prefix}.m{i + 1}.circuits.txt")
+            _emit([serialize(built.hyperplanes[i])], f"{prefix}.m{i + 1}.hyperplanes.txt")
         for dim, j in built.uncovered:
             print(f"warning: side {dim + 1} element {j} is in no triple", file=sys.stderr)
         if args.verify:
@@ -187,8 +192,8 @@ def _cmd_reduce(args) -> int:
         g = parse_graph(_read(args.g))
         h = parse_graph(_read(args.h))
         host, pattern = reductions.reduce_subgraph_iso(g, h)
-        _emit(serialize(host), f"{prefix}.host.txt")
-        _emit(serialize(pattern), f"{prefix}.pattern.txt")
+        _emit([serialize(host)], f"{prefix}.host.txt")
+        _emit([serialize(pattern)], f"{prefix}.pattern.txt")
         if args.verify:
             graph_side = reductions.subgraph_contains(g, h)
             witness = reductions.detect_minor_exhaustive(
@@ -201,7 +206,7 @@ def _cmd_reduce(args) -> int:
     # indepset
     g = parse_graph(_read(args.graph))
     desc, (r, size) = reductions.reduce_independent_set(g, args.k, args.r)
-    _emit(serialize(desc), f"{prefix}.matroid.txt")
+    _emit([serialize(desc)], f"{prefix}.matroid.txt")
     print(f"target: uniform rank {r} size {size}")
     if args.verify:
         graph_side = reductions.graph_has_independent_set(g, args.k)

@@ -10,7 +10,10 @@ measurement and semantic equality.
 
 Every description is built by :func:`canonical`, which orders the sets
 and carries their ranks along unchecked.  Input is checked once, where
-it enters: by :func:`description` and by :func:`parse`.
+it enters: by :func:`description` and by :func:`parse`.  There is one
+text path per data shape: a :class:`Description` is written by
+:func:`serialize`, and an exhaustive encoding, as a table, by
+:func:`encode_text`, straight from its sorted mask array.
 
 Text format (UTF-8, LF)::
 
@@ -230,14 +233,14 @@ def parse(text) -> Description:
     return canonical(kind, n, sets, ranks if kind in PER_SET_RANK_KINDS else None, r)
 
 
-def _header(desc: Description) -> str:
-    header = f"matroid {desc.kind} n={desc.n}"
-    return header if desc.r is None else f"{header} r={desc.r}"
+def _header(kind: str, n: int, r: Optional[int]) -> str:
+    header = f"matroid {kind} n={n}"
+    return header if r is None else f"{header} r={r}"
 
 
 def serialize(desc: Description) -> str:
     """Canonical text; ``parse(serialize(d)) == d`` bit-exactly."""
-    lines = [_header(desc)]
+    lines = [_header(desc.kind, desc.n, desc.r)]
     for i, mask in enumerate(desc.sets):
         line = format_bits(mask, desc.n)
         if desc.set_ranks is not None:
@@ -250,7 +253,8 @@ def size_of(desc: Description) -> SizeMeasure:
     """Listed-set count and the n*i cell measure; the header is costed
     separately and excluded from the cells."""
     i = len(desc.sets)
-    return SizeMeasure(listed_sets=i, cells=desc.n * i, header_bits=8 * len(_header(desc)))
+    header = _header(desc.kind, desc.n, desc.r)
+    return SizeMeasure(listed_sets=i, cells=desc.n * i, header_bits=8 * len(header))
 
 
 # -- decoding ------------------------------------------------------------
@@ -477,22 +481,79 @@ def to_view(desc: Description) -> MatroidView:
     return MatroidView(n, indep=indep, rank=rank, table_source=source)
 
 
-def encode_from_oracle(view: MatroidView, kind: str) -> Description:
-    """Exhaustively re-encode a view as any kind, by classifying every
-    subset against the kind's defining predicate."""
+def _exhaustive_arrays(
+    view: MatroidView, kind: str
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[int]]:
+    """The listed masks of ``kind`` as an int64 array in canonical order,
+    the rank table to read their per-set ranks from (None for kinds
+    without them) and the header rank, by classifying every subset
+    against the kind's defining predicate."""
+    import numpy as np
+
     from . import tables
 
     if kind not in KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
     if kind == "rank":
-        return canonical(kind, view.n, range(1 << view.n), tables.rank_table(view).tolist())
-    masks = tables.family_masks(view, kind)
-    set_ranks = r = None
-    if kind == "cyclicflats":
-        set_ranks = tables.rank_table(view)[masks].tolist()
-    elif kind in HEADER_RANK_KINDS:
-        r = view.full_rank
-    return canonical(kind, view.n, masks, set_ranks, r)
+        # every mask is listed; a stable sort by cardinality keeps values ascending
+        masks = np.argsort(tables.popcounts(view.n), kind="stable")
+    else:
+        masks = tables.family_masks(view, kind)
+    rank = tables.rank_table(view) if kind in PER_SET_RANK_KINDS else None
+    r = view.full_rank if kind in HEADER_RANK_KINDS else None
+    return masks, rank, r
+
+
+def encode_from_oracle(view: MatroidView, kind: str) -> Description:
+    """Exhaustively re-encode a view as any kind, by classifying every
+    subset against the kind's defining predicate."""
+    masks, rank, r = _exhaustive_arrays(view, kind)
+    set_ranks = None if rank is None else rank[masks].tolist()
+    return canonical(kind, view.n, masks.tolist(), set_ranks, r)
+
+
+def encode_text(view: MatroidView, kind: str) -> Iterator[str]:
+    """The text of ``serialize(encode_from_oracle(view, kind))`` in
+    pieces: the header line, then blocks of lines written straight from
+    the sorted mask array, with no per-set Python object.
+
+    The tables and the mask array are built before this returns, so a
+    view that cannot be decoded raises here, before any text exists.
+    """
+    masks, rank, r = _exhaustive_arrays(view, kind)
+    return _text_blocks(_header(kind, view.n, r), view.n, masks, rank)
+
+
+def _text_blocks(
+    header: str, n: int, masks: np.ndarray, rank: Optional[np.ndarray]
+) -> Iterator[str]:
+    """The header line, then the lines of ``masks`` in blocks of at most
+    ``BLOCK_CELLS`` bytes of text.
+
+    Each row of a block is the n bit characters, element 0 first, then
+    for per-set rank kinds ``:`` and the rank's tens and units digits,
+    then the newline.  A rank below 10 has a zero pad byte for its tens
+    digit, and the pad bytes are dropped when the block is flattened.
+    """
+    import numpy as np
+
+    yield header + "\n"
+    width = n + 1 if rank is None else n + 4
+    step = max(1, BLOCK_CELLS // width)
+    for lo in range(0, len(masks), step):
+        block = masks[lo : lo + step]
+        rows = np.empty((len(block), width), dtype=np.uint8)
+        # little-endian bytes unpacked little bit first: column e is element e
+        octets = block.astype("<u4").view(np.uint8).reshape(-1, 4)
+        rows[:, :n] = np.unpackbits(octets, axis=1, count=n, bitorder="little") + ord("0")
+        rows[:, -1] = ord("\n")
+        if rank is not None:
+            ranks = rank[block]
+            rows[:, n] = ord(":")
+            rows[:, n + 1] = np.where(ranks < 10, 0, ranks // 10 + ord("0"))
+            rows[:, n + 2] = ranks % 10 + ord("0")
+            rows = rows[rows != 0]
+        yield rows.tobytes().decode("ascii")
 
 
 def semantically_equal(a: Description, b: Description) -> bool:

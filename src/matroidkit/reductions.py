@@ -52,8 +52,8 @@ def isomorphic(a: MatroidView, b: MatroidView) -> Optional[Tuple[int, ...]]:
     if tables.rank_signature(a) != tables.rank_signature(b):
         return None
     n = a.n
-    ca = tables.family_masks(a, "circuits")
-    cb = tables.family_masks(b, "circuits")
+    ca = tables.family_masks(a, "circuits").tolist()
+    cb = tables.family_masks(b, "circuits").tolist()
     if len(ca) != len(cb):
         return None
     inv_a = _element_invariants(a, ca)
@@ -192,7 +192,7 @@ def detect_minor_fixed(
     if s > n:
         return None
     rt = tables.rank_table(to_view(host))
-    pattern_circuits = tables.family_masks(pattern, "circuits")
+    pattern_circuits = tables.family_masks(pattern, "circuits").tolist()
     t = len(pattern_circuits)
     pr = pattern.full_rank
 

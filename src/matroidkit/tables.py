@@ -14,7 +14,7 @@ starts from a view's table source; a view without one has no table.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,13 +217,11 @@ def classify(view: MatroidView) -> Dict[str, np.ndarray]:
     return out
 
 
-def family_masks(view: MatroidView, family: str) -> List[int]:
-    """Masks of one family, in canonical (cardinality, value) order."""
-    flags = classify(view)[family]
-    masks = np.nonzero(flags)[0]
-    pc = popcounts(view.n)[masks]
-    order = np.lexsort((masks, pc))
-    return masks[order].tolist()
+def family_masks(view: MatroidView, family: str) -> np.ndarray:
+    """Masks of one family as an int64 array, in canonical (cardinality,
+    value) order."""
+    masks = np.flatnonzero(classify(view)[family])
+    return masks[np.lexsort((masks, popcounts(view.n)[masks]))]
 
 
 def rank_signature(view: MatroidView) -> Tuple[int, ...]:

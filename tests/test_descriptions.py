@@ -13,6 +13,7 @@ from matroidkit import (
     parse_3dm,
     parse_graph,
     semantically_equal,
+    separation_family,
     serialize,
     size_of,
     to_view,
@@ -20,7 +21,7 @@ from matroidkit import (
     validate,
 )
 from matroidkit.bitsets import format_bits
-from matroidkit.descriptions import dual
+from matroidkit.descriptions import dual, encode_text
 from matroidkit.tables import rank_table, views_equal
 
 from conftest import corpus_params
@@ -222,6 +223,57 @@ def test_parse_reports_a_distant_duplicate_at_its_second_line():
 def test_parse_serialize_identity_on_corpus(view, kind):
     d = encode_from_oracle(view, kind)
     assert parse(serialize(d)) == d
+
+
+# -- exhaustive text from the mask array ---------------------------------
+
+
+@pytest.mark.parametrize("view", corpus_params())
+@pytest.mark.parametrize("kind", KINDS)
+def test_encode_text_is_the_serialized_encoding(view, kind):
+    assert "".join(encode_text(view, kind)) == serialize(encode_from_oracle(view, kind))
+
+
+#: Listings whose text has two-digit per-set ranks, a two-digit header
+#: rank, or no line after the header.  L18's cyclic flats reach rank 5
+#: at n = 6 (12 elements); U(10,11) mixes ranks 0 and 10.
+WIDE_CASES = {
+    "rank U(11,12)": (uniform(11, 12), "rank", ":11\n"),
+    "cyclicflats L18(6)": (separation_family("L18", 6), "cyclicflats", ":5\n"),
+    "cyclicflats U(10,11)": (uniform(10, 11), "cyclicflats", ":0\n11111111111:10\n"),
+    "nsc r=10": (direct_sum(uniform(9, 10), uniform(1, 2)), "nsc", " r=10\n"),
+    "dephyp r=10": (direct_sum(uniform(9, 10), uniform(1, 2)), "dephyp", " r=10\n"),
+    "empty nsc L20(3)": (separation_family("L20", 3), "nsc", None),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_CASES)
+def test_encode_text_writes_wide_ranks_and_empty_families(name):
+    view, kind, marker = WIDE_CASES[name]
+    text = "".join(encode_text(view, kind))
+    assert text == serialize(encode_from_oracle(view, kind))
+    if marker is None:
+        assert text == f"matroid {kind} n={view.n} r={view.full_rank}\n"
+    else:
+        assert marker in text and len(text.splitlines()) > 1
+
+
+@pytest.mark.parametrize("view, kind, lines", [
+    (separation_family("L20", 10), "hyperplanes", 167_960),  # C(20, 9)
+    (uniform(10, 20), "rank", 1 << 20),
+], ids=["L20(10)-hyperplanes", "U(10,20)-rank"])
+def test_encode_text_memory_does_not_grow_with_the_listing(view, kind, lines):
+    # the tables and the sorted mask array are built before the text is;
+    # the text itself, 3.5 MB and 25 MB here, is handed out block by block
+    blocks = encode_text(view, kind)
+    tracemalloc.start()
+    try:
+        written = sum(block.count("\n") for block in blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written == 1 + lines
+    assert peak < 1 << 20
 
 
 # -- decoding ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -140,6 +142,36 @@ def test_cli_convert_force_exhaustive(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "exhaustive" in captured.err
     assert parse(captured.out).kind == "bases"
+
+
+#: Commands that end in an exhaustive encode; ``{f}`` is a circuits file
+#: of U(3,6).  The rank listing has two-digit ranks and spans blocks.
+EXHAUSTIVE_COMMANDS = {
+    "gen": "gen uniform 10 11 --as rank",
+    "convert-planned": "convert --in {f} --to bases",
+    "convert-forced": "convert --in {f} --to cyclicflats --force-exhaustive",
+}
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_COMMANDS)
+def test_exhaustive_encodes_write_the_same_text_everywhere(tmp_path, name):
+    circuits = serialize(encode_from_oracle(uniform(3, 6), "circuits"))
+    argv = EXHAUSTIVE_COMMANDS[name].format(f=_write(tmp_path, "u36.txt", circuits)).split()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.run(
+        [sys.executable, "-m", "matroidkit.cli", *argv], env=env, capture_output=True,
+        timeout=60, check=True,
+    )
+    # a redirected stdout, as under perfbench's trace, has no .buffer
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 0
+    assert out.getvalue().encode() == child.stdout
+    assert err.getvalue().encode() == child.stderr
+    target = tmp_path / "out.txt"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == child.stdout
 
 
 def test_cli_validate(tmp_path, capsys):
