@@ -31,7 +31,7 @@ def max_ground() -> int:
     if cap is None:
         return WORD_BITS
     try:
-        value = int(cap)
+        value = strict_int(cap)
     except ValueError:
         raise CapacityError(f"MATROID_MAX_N is not an integer: {cap!r}") from None
     return min(value, WORD_BITS)

@@ -271,9 +271,8 @@ def count_cyclic_flats_vs_bases(view: MatroidView) -> Tuple[int, int]:
     """Exhaustive (z, b) counts; ``ValueError`` unless z <= b, as in a matroid."""
     from . import tables
 
-    families = tables.classify(view)
-    z = int(families["cyclicflats"].sum())
-    b = int(families["bases"].sum())
+    z = int(tables.family_table(view, "cyclicflats").sum())
+    b = int(tables.family_table(view, "bases").sum())
     if z > b:
         raise ValueError(f"cyclic flats {z} exceed bases {b} (not a matroid)")
     return z, b

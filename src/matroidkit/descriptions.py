@@ -488,17 +488,9 @@ def _exhaustive_arrays(
     the rank table to read their per-set ranks from (None for kinds
     without them) and the header rank, by classifying every subset
     against the kind's defining predicate."""
-    import numpy as np
-
     from . import tables
 
-    if kind not in KINDS:
-        raise ValueError(f"unknown description kind {kind!r}")
-    if kind == "rank":
-        # every mask is listed; a stable sort by cardinality keeps values ascending
-        masks = np.argsort(tables.popcounts(view.n), kind="stable")
-    else:
-        masks = tables.family_masks(view, kind)
+    masks = tables.family_masks(view, kind)
     rank = tables.rank_table(view) if kind in PER_SET_RANK_KINDS else None
     r = view.full_rank if kind in HEADER_RANK_KINDS else None
     return masks, rank, r

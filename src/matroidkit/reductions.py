@@ -535,6 +535,8 @@ def reduce_independent_set(
     vertices iff the rank-r construction on G has a U_{r, k+mt} minor.
     Returns the matroid as an independent-set description and the
     uniform target (rank, size)."""
+    if k < 0:
+        raise ValueError(f"negative target size {k}")
     t = subdivision_length(r)
     view = phi_r(g, r)
     return encode_from_oracle(view, "independent"), (r, k + g.m * t)

@@ -9,6 +9,7 @@ Tables are indexed by mask and built with Yates-style subset transforms:
 one vectorised pass per element over the two halves of the table that
 differ only in that element, O(n * 2**n) work in all.  Every table
 starts from a view's table source; a view without one has no table.
+A view caches its independence and rank tables, and no family's table.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import KINDS
 from .core import MatroidView
 
 
@@ -122,12 +124,10 @@ def rank_from_independence(indep: np.ndarray, n: int) -> np.ndarray:
 
 def rank_table(view: MatroidView) -> np.ndarray:
     """Rank of every mask, derived from the independence table."""
-    cached = view._tables
-    if cached is not None and "rank" in cached:
-        return cached["rank"]
-    rank = rank_from_independence(independence_table(view), view.n)
-    view._tables["rank"] = rank
-    return rank
+    if view._tables is None or "rank" not in view._tables:
+        indep = independence_table(view)
+        view._tables["rank"] = rank_from_independence(indep, view.n)
+    return view._tables["rank"]
 
 
 def matroid_violation(view: MatroidView) -> Optional[Tuple[str, int, Tuple[int, ...]]]:
@@ -169,59 +169,65 @@ def matroid_violation(view: MatroidView) -> Optional[Tuple[str, int, Tuple[int, 
     return None
 
 
-def classify(view: MatroidView) -> Dict[str, np.ndarray]:
-    """Characteristic boolean arrays for every family of subsets the
-    description formats can list."""
-    cached = view._tables
-    if cached is not None and "families" in cached:
-        return cached["families"]
+def family_table(view: MatroidView, kind: str) -> np.ndarray:
+    """Boolean array over all masks, true on the sets that a description
+    of ``kind`` lists; the cached table itself for ``independent``."""
     n = view.n
     indep = independence_table(view)
     rank = rank_table(view)
-    pc = popcounts(n)
     r = int(rank[-1])
-
-    spanning = rank == r
-    bases = indep & (pc == r)
-
-    # circuit: dependent, every single-element deletion independent
-    circuits = ~indep
-    # flat: no outside element keeps the rank fixed
-    flats = np.ones(1 << n, dtype=bool)
-    # cyclic: no inside element drops the rank (no coloop of the restriction)
-    cyclic = np.ones(1 << n, dtype=bool)
+    if kind == "independent":
+        return indep
+    if kind == "spanning":
+        return rank == r
+    if kind == "bases":
+        return indep & (popcounts(n) == r)
+    if kind in ("circuits", "nsc"):
+        # circuit: dependent, every single-element deletion independent
+        out = ~indep
+        for b in range(n):
+            indep_without, _ = halves(indep, b)
+            _, out_with = halves(out, b)
+            out_with &= indep_without
+        if kind == "nsc":
+            out &= popcounts(n) <= r
+        return out
+    if kind not in ("flats", "cyclicflats", "hyperplanes", "dephyp"):
+        raise ValueError(f"unknown description kind {kind!r}")
+    out = np.ones(1 << n, dtype=bool) if kind in ("flats", "cyclicflats") else rank == r - 1
+    if kind == "dephyp":
+        out &= ~indep
     for b in range(n):
-        indep_without, _ = halves(indep, b)
         rank_without, rank_with = halves(rank, b)
-        _, circuits_with = halves(circuits, b)
-        circuits_with &= indep_without
-        same = rank_without == rank_with
-        _, cyclic_with = halves(cyclic, b)
-        cyclic_with &= same
-        flats_without, _ = halves(flats, b)
-        flats_without &= ~same
-
-    hyperplanes = flats & (rank == r - 1)
-    out = {
-        "independent": indep,
-        "spanning": spanning,
-        "bases": bases,
-        "flats": flats,
-        "circuits": circuits,
-        "hyperplanes": hyperplanes,
-        "nsc": circuits & (pc <= r),
-        "dephyp": hyperplanes & ~indep,
-        "cyclicflats": flats & cyclic,
-    }
-    view._tables["families"] = out
+        grows = rank_without != rank_with
+        out_without, out_with = halves(out, b)
+        # flat: every outside element raises the rank
+        out_without &= grows
+        if kind == "cyclicflats":
+            # cyclic: no inside element drops the rank
+            out_with &= ~grows
     return out
 
 
-def family_masks(view: MatroidView, family: str) -> np.ndarray:
-    """Masks of one family as an int64 array, in canonical (cardinality,
-    value) order."""
-    masks = np.flatnonzero(classify(view)[family])
-    return masks[np.lexsort((masks, popcounts(view.n)[masks]))]
+def classify(view: MatroidView) -> Dict[str, np.ndarray]:
+    """Characteristic boolean arrays for every family of subsets the
+    description formats can list."""
+    return {kind: family_table(view, kind) for kind in KINDS if kind != "rank"}
+
+
+def family_masks(view: MatroidView, kind: str) -> np.ndarray:
+    """The int64 masks a description of ``kind`` lists, in (cardinality, value) order."""
+    pc = popcounts(view.n)
+    if kind == "rank":
+        # a stable sort by cardinality keeps values ascending
+        return np.argsort(pc, kind="stable")
+    masks = np.flatnonzero(family_table(view, kind))
+    # cardinality into each mask's high word: one in-place sort, no second array
+    high = masks.view(np.int32)[np.little_endian :: 2]
+    high[...] = pc[masks]
+    masks.sort()
+    high[...] = 0
+    return masks
 
 
 def rank_signature(view: MatroidView) -> Tuple[int, ...]:

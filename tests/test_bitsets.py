@@ -42,9 +42,10 @@ def test_env_var_lowers_never_raises(monkeypatch):
         check_ground(6)
     monkeypatch.setenv("MATROID_MAX_N", "99")
     assert max_ground() == WORD_BITS
-    monkeypatch.setenv("MATROID_MAX_N", "nope")
-    with pytest.raises(CapacityError):
-        max_ground()
+    for bad in ("nope", "1_0", "+5", "\u0665", " 5"):
+        monkeypatch.setenv("MATROID_MAX_N", bad)
+        with pytest.raises(CapacityError, match="MATROID_MAX_N is not an integer"):
+            max_ground()
 
 
 def test_check_mask():

@@ -324,6 +324,18 @@ def test_cli_reduce_subgraph_and_indepset(tmp_path, capsys):
     assert "round trip: ok" in out
 
 
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+def test_cli_reduce_indepset_negative_target_is_an_input_error(tmp_path, capsys, verify):
+    g = _write(tmp_path, "g.txt", "graph n=3\n0 1\n1 2\n")
+    prefix = str(tmp_path / "ind")
+    argv = ["reduce", "indepset", g, "-k", "-5", *verify, "--out-prefix", prefix]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: negative target size -5\n"
+    assert not list(tmp_path.glob("ind.*"))
+
+
 def test_cli_sizes(capsys):
     assert main(["sizes", "--family", "L10", "--n-range", "3..6", "--csv"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "l10.sizes.csv").read_text()

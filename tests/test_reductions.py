@@ -366,6 +366,11 @@ def test_reduce_independent_set_examples():
     assert detect_minor_exhaustive(to_view(desc), uniform(*target)) is None
 
 
+def test_reduce_independent_set_rejects_a_negative_target():
+    with pytest.raises(ValueError, match="^negative target size -5$"):
+        reduce_independent_set(P3, -5, 3)
+
+
 def test_3dm_text_errors_name_the_line():
     with pytest.raises(ValueError, match=r"^line 1: expected header '3dm s=<s>'"):
         parse_3dm("3dm s=x\n")

@@ -263,3 +263,44 @@ def test_the_environment_rule_sees_every_form():
     assert _environment_uses(source) == [
         (2, ""), (4, "max_ground"), (6, "other"), (9, "set"), (10, ""),
     ]
+
+
+def _classify_uses(source: str):
+    """Lines that import, call or otherwise name ``classify``; its own
+    definition is not a use."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "classify":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "classify":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "classify" for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_size_tables_classify_every_family(path):
+    # classify builds all nine family tables; every other command lists
+    # one kind and builds that kind's table alone, through family_table
+    lines = _classify_uses(path.read_text(encoding="utf-8"))
+    if path.name == "harness.py":
+        assert lines, "harness.py: the sizes experiment no longer calls classify"
+    else:
+        assert not lines, f"{path.name}: classify used on line(s) {lines}"
+
+
+def test_the_classify_rule_sees_every_form():
+    source = (
+        "from . import tables\n"
+        "from .tables import classify\n"
+        "from .tables import classify as every_family\n"
+        "def classify(view):\n"
+        "    return {}\n"
+        "x = tables.classify(view)\n"
+        "y = classify(view)\n"
+        "f = tables.classify\n"
+        "z = tables.family_table(view, 'bases')\n"
+    )
+    assert _classify_uses(source) == [2, 3, 6, 7, 8]

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from matroidkit import (
     description,
     encode_from_oracle,
     multigraph,
+    separation_family,
     to_view,
     uniform,
 )
@@ -18,6 +20,7 @@ from matroidkit.bitsets import elements, full_mask, submasks
 from matroidkit.tables import (
     classify,
     family_masks,
+    family_table,
     independence_table,
     popcounts,
     rank_signature,
@@ -103,6 +106,54 @@ def test_family_masks_canonical_order():
     assert masks.dtype == np.int64
     assert masks.tolist() == sorted(masks.tolist(), key=lambda m: (m.bit_count(), m))
     assert len(masks) == 4  # C(4,3) three-element circuits
+
+
+def _canonical(masks):
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+@pytest.mark.parametrize("view", corpus_params())
+def test_family_masks_list_each_kind_in_canonical_order(view):
+    families = classify(view)
+    assert set(families) == set(KINDS) - {"rank"}
+    assert family_masks(view, "rank").tolist() == _canonical(range(1 << view.n))
+    for kind, table in families.items():
+        masks = family_masks(view, kind)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == _canonical(np.flatnonzero(table).tolist()), kind
+
+
+def test_family_masks_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown description kind 'foo'"):
+        family_masks(uniform(2, 4), "foo")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: uniform(10, 20),
+    lambda: separation_family("L18", 10),
+], ids=["U(10,20)", "L18(10)"])
+def test_family_masks_memory_is_the_listing_and_one_family_table(build):
+    # with the cached tables built first, a listing costs its own array,
+    # the asked family's table (1 MB at n = 20) and a temporary or two;
+    # no other family's table and no second array the listing's size
+    view = build()
+    pc = popcounts(view.n)
+    rank_table(view)
+    assert view.n == 20
+    for kind in KINDS:
+        tracemalloc.start()
+        try:
+            masks = family_masks(view, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (3 << 20) + masks.nbytes, kind
+        if kind == "rank":
+            listed = np.arange(1 << view.n)
+        else:
+            listed = np.flatnonzero(family_table(view, kind))
+        assert np.array_equal(masks, listed[np.lexsort((listed, pc[listed]))]), kind
+    assert set(view._tables) == {"indep", "rank"}
 
 
 def test_uniform_counts():
