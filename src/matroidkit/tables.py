@@ -215,13 +215,13 @@ def classify(view: MatroidView) -> Dict[str, np.ndarray]:
     return {kind: family_table(view, kind) for kind in KINDS if kind != "rank"}
 
 
-def family_masks(view: MatroidView, kind: str) -> np.ndarray:
-    """The int64 masks a description of ``kind`` lists, in (cardinality, value) order."""
+def family_masks(view: MatroidView, family: str) -> np.ndarray:
+    """The int64 masks a description of kind ``family`` lists, in (cardinality, value) order."""
     pc = popcounts(view.n)
-    if kind == "rank":
+    if family == "rank":
         # a stable sort by cardinality keeps values ascending
         return np.argsort(pc, kind="stable")
-    masks = np.flatnonzero(family_table(view, kind))
+    masks = np.flatnonzero(family_table(view, family))
     # cardinality into each mask's high word: one in-place sort, no second array
     high = masks.view(np.int32)[np.little_endian :: 2]
     high[...] = pc[masks]
