@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
 
 #: Hard ceiling on the ground-set size.  Keeps every mask in one machine
 #: word and every ``2**n`` enumeration affordable.
@@ -127,6 +127,14 @@ def format_bits(mask: int, n: int) -> str:
     # bin() writes '0b1' then the bits from n-1 down to 0; reverse and
     # stop before the marker bit
     return bin(mask | 1 << n)[:2:-1]
+
+
+def columns(sets: Sequence[int], n: int) -> List[int]:
+    """The listing read by elements: entry e has bit i set when
+    ``sets[i]`` holds e.  The sets' bit strings are transposed, so the
+    cost is linear in the listing's n * len(sets) cells."""
+    rows = [format_bits(m, n) for m in reversed(sets)]
+    return [int("".join(col), 2) for col in zip(*rows)] if rows else [0] * n
 
 
 def strict_int(text: str) -> int:

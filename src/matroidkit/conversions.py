@@ -7,41 +7,39 @@ pairs without a lattice path fall back to exhaustive re-encoding, and
 the planner reports which route was taken.
 
 Cost of each edge for k listed input sets on n elements, before the
-canonical sort of its output.  The array passes work in blocks of at
-most ``descriptions.BLOCK_CELLS`` cells, so memory grows with k and n,
-never with 2^n:
+canonical sort of its output.  Every rule works on the listed sets
+alone, so memory grows with k and n, never with 2^n.  Some rules read
+the listing by elements (``bitsets.columns``): one k-bit int per element,
+whose ANDs test a set against every listed set at once.
 
 - rank -> spanning / independent: O(k), one pass over the 2^n rows;
 - spanning -> bases, independent -> bases, flats -> hyperplanes:
   O(k * |output|) subset tests (``bitsets.minimal_sets``/``maximal_sets``);
 - independent -> flats: O(k * n) lookups; flats -> cyclicflats the same,
-  after ranking the flats by height groups, one cardinality level at a
-  time: O(k^2) pair cells in at most (n + 1)^2 array passes;
-- bases -> circuits: O(k * n^2) exchange lookups, as n ``searchsorted``
-  passes over the (basis, element) pairs; bases -> hyperplanes the same
-  on the dual, between two O(k) complement passes (``descriptions.dual``);
+  after ranking the flats by height: O(n) ANDs of k-bit ints per flat;
+- bases -> circuits: O(k * n) dict updates, one per basis B and element
+  e outside it; bases -> hyperplanes the same on the dual, between two
+  O(k) complement passes (``descriptions.dual``);
 - circuits -> nsc: O(k * n), the rank by n queries; hyperplanes ->
   dephyp the same on the dual, between two O(k) complement passes;
 - bases -> cyclicflats: closures of the fundamental circuits and then
-  of the distinct pairwise unions, at most r passes; each batch of m
-  masks is closed in 2n array passes of m * k cells.
+  of the pairwise unions that involve a flat the previous pass added,
+  at most r passes; each closure is O(n) ANDs of k-bit ints, memoised.
 
-Only the array passes load numpy: bases -> circuits, hyperplanes and
-cyclicflats, and flats -> cyclicflats.  The other eight rules and the
-planner are pure Python, so a ``convert`` along them never imports
-numpy; the exhaustive fallback builds tables and loads it.
+All twelve rules and the planner are pure Python, so a ``convert`` along
+the lattice never imports numpy; the exhaustive fallback builds tables
+and loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
-# numpy and ``tables`` load in the functions that use them (see above);
-# ``np`` in annotations is never evaluated
-from .bitsets import canonical_order, elements, full_mask, maximal_sets, minimal_sets
-from .descriptions import BLOCK_CELLS, Description, canonical, disjoint_from_some, dual
-from .descriptions import encode_from_oracle, to_view
+# ``tables``, and with it numpy, loads in the functions that use it
+from .bitsets import canonical_order, columns, elements, full_mask, maximal_sets, minimal_sets
+from .descriptions import Description, canonical, dual, encode_from_oracle, to_view
 from .core import MatroidView
 
 
@@ -68,58 +66,43 @@ class ConversionPlan:
 
 def _fundamental_circuits(bases: Sequence[int], n: int) -> List[int]:
     """All fundamental circuits C(e, B) over the listed bases: e with
-    every f in B for which B - f + e is listed.  Each (B, e) pair is one
-    row of a block of bases; each f is one ``searchsorted`` pass of the
-    rows' exchanges over the sorted bases."""
-    import numpy as np
-
-    listed = np.sort(np.array(bases, dtype=np.int64))
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    circuits = set()
-    step = max(1, BLOCK_CELLS // max(n, 1))
-    for lo in range(0, len(listed), step):
-        block = listed[lo : lo + step]
-        rows, cols = np.nonzero(block[:, None] & bits == 0)
-        base, circuit = block[rows], bits[cols]
-        grown = base | circuit
-        for bit in bits.tolist():
-            has = np.flatnonzero(base & bit)
-            swapped = grown[has] ^ bit
-            at = np.searchsorted(listed, swapped)
-            circuit[has[listed.take(at, mode="clip") == swapped]] |= bit
-        circuits.update(circuit.tolist())
-    return canonical_order(circuits)
+    every f in B for which B - f + e is listed.  C(e, B) is the set of
+    g in U = B + e with U - g listed, so it depends on U alone: each
+    (B, e) pair adds e to the entry of U."""
+    full = full_mask(n)
+    circuit_of: Dict[int, int] = {}
+    for b in bases:
+        for e in elements(full & ~b):
+            u = b | 1 << e
+            circuit_of[u] = circuit_of.get(u, 0) | 1 << e
+    return canonical_order(set(circuit_of.values()))
 
 
-def _greedy_bases(masks: np.ndarray, bases: np.ndarray, n: int) -> np.ndarray:
-    """The basis of each mask that ``MatroidView.basis_of`` grows on a
-    bases view, where a set is independent when it lies inside some
-    listed basis: one vector pass per element, in ascending order."""
-    import numpy as np
+def _closure_and_basis(bases: Sequence[int], n: int) -> Callable[[int], Tuple[int, int]]:
+    """The closure and greedy basis of a mask as ``MatroidView.closure``
+    and ``basis_of`` find them on a bases view, where a set is
+    independent when it lies inside some listed basis.
 
-    outside = ~bases
-    picked = np.zeros_like(masks)
-    for e in range(n):
-        rows = np.flatnonzero(masks >> e & 1)
-        trial = picked[rows] | 1 << e
-        fits = disjoint_from_some(trial, outside)
-        picked[rows[fits]] = trial[fits]
-    return picked
+    ``holds[e]`` has bit i set when listed basis i holds e, so the bases
+    holding a set are the AND of its elements' ints.  The basis grows in
+    ascending element order while some basis holds it, and the closure
+    adds each element that no basis holding the basis also holds."""
+    holds = columns(bases, n)
+    everything, full = (1 << len(bases)) - 1, full_mask(n)
 
+    def closure_and_basis(mask: int) -> Tuple[int, int]:
+        picked, holding = 0, everything
+        for e in elements(mask):
+            if holding & holds[e]:
+                picked |= 1 << e
+                holding &= holds[e]
+        closed = mask
+        for e in elements(full & ~mask):
+            if not holding & holds[e]:
+                closed |= 1 << e
+        return closed, picked
 
-def _closures(masks: np.ndarray, bases: np.ndarray, n: int) -> np.ndarray:
-    """The closure of each mask as ``MatroidView.closure`` finds it on a
-    bases view: the mask and each element e outside it whose addition to
-    the mask's greedy basis leaves every listed basis."""
-    import numpy as np
-
-    picked = _greedy_bases(masks, bases, n)
-    outside = ~bases
-    closed = masks.copy()
-    for e in range(n):
-        rows = np.flatnonzero(masks >> e & 1 == 0)
-        closed[rows[~disjoint_from_some(picked[rows] | 1 << e, outside)]] |= 1 << e
-    return closed
+    return closure_and_basis
 
 
 def _independent_to_flats(desc: Description) -> Description:
@@ -141,37 +124,29 @@ def _bases_to_cyclicflats(desc: Description) -> Description:
 
     The working list of a matroid never exceeds the number of listed
     bases (``ValueError`` if it does), and the loop runs at most r(M)
-    passes (stopping early once a pass adds nothing).  Each pass closes
-    its distinct pairwise unions in batches of rows.
+    passes (stopping early once a pass adds nothing).  A pass closes only
+    the unions that involve a flat the previous pass added: the others
+    were closed a pass earlier.  Closures are memoised by mask.
     """
-    import numpy as np
-
     view = to_view(desc)
     n, b_count = desc.n, len(desc.sets)
-    bases = np.array(desc.sets, dtype=np.int64)
-    seeds = _fundamental_circuits(desc.sets, n) + [0]
-    found = set(_closures(np.array(seeds, dtype=np.int64), bases, n).tolist())
+    close = cache(_closure_and_basis(desc.sets, n))
+    found = {close(c)[0] for c in _fundamental_circuits(desc.sets, n) + [0]}
+    fresh = found
     for _ in range(view.full_rank):
         if len(found) > b_count:
             break
-        flats = np.array(list(found), dtype=np.int64)
-        new = set()
-        step = max(1, BLOCK_CELLS // len(flats))
-        for lo in range(0, len(flats), step):
-            rows = np.arange(lo, min(lo + step, len(flats)))
-            unions = (flats[rows, None] | flats)[np.arange(len(flats)) > rows[:, None]]
-            unions = np.array(list(set(unions.tolist())), dtype=np.int64)
-            new.update(_closures(unions, bases, n).tolist())
+        new = {close(z1 | z2)[0] for z1 in fresh for z2 in found if z2 != z1}
         if new <= found:
             break
+        fresh = new - found
         found |= new
     if len(found) > b_count:
         raise ValueError(
             "cyclic-flat working list exceeds the basis count (not a matroid)"
         )
     cyclic = list(found)
-    picked = _greedy_bases(np.array(cyclic, dtype=np.int64), bases, n)
-    return canonical("cyclicflats", n, cyclic, [b.bit_count() for b in picked.tolist()])
+    return canonical("cyclicflats", n, cyclic, [close(z)[1].bit_count() for z in cyclic])
 
 
 def _flats_to_cyclicflats(desc: Description) -> Description:

@@ -21,8 +21,9 @@ Text format (UTF-8, LF)::
     <bitstring>[:<rank>]
     ...
 
-``#`` starts a comment line, blank lines are ignored, and the leftmost
-bitstring character is element 0.
+``#`` starts a comment line, and the leftmost bitstring character is
+element 0.  Blank lines are ignored, except on the empty ground set
+(n = 0): there a blank line after the header is the empty set.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 # build tables, so parsing, serializing and the per-query predicates never
 # load them; ``np`` in annotations is never evaluated
 from . import KINDS
-from .bitsets import canonical_order, check_ground, check_mask, format_bits, full_mask
-from .bitsets import minimal_sets, parse_bits, strict_int
+from .bitsets import canonical_order, check_ground, check_mask, columns, elements, format_bits
+from .bitsets import full_mask, minimal_sets, parse_bits, strict_int
 from .core import MatroidView
 
 #: Kinds whose lines carry a per-set rank annotation.
@@ -134,12 +135,13 @@ def _check_header(kind: str, n: int, r: Optional[int], count: int) -> None:
 
 def content_lines(text) -> Iterator[Tuple[int, str]]:
     """The stripped lines of a text input with their 1-based numbers;
-    bytes are read as UTF-8, blank and ``#`` comment lines are skipped."""
+    bytes are read as UTF-8 and ``#`` comment lines are skipped.  Blank
+    lines are left to the caller."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line and not line.startswith("#"):
+        if not line.startswith("#"):
             yield lineno, line
 
 
@@ -149,6 +151,8 @@ def int_records(text, tag: str, key: str, width: int) -> Tuple[int, List[Tuple[i
     value = None
     records: List[Tuple[int, ...]] = []
     for lineno, line in content_lines(text):
+        if not line:
+            continue
         fields = line.split()
         try:
             if value is None:
@@ -175,6 +179,8 @@ def parse(text) -> Description:
     seen = set()
     ranks: List[int] = []
     for lineno, line in content_lines(text):
+        if not line and n != 0:
+            continue
         if header is None:
             fields = line.split()
             if len(fields) < 3 or fields[0] != "matroid":
@@ -260,55 +266,33 @@ def size_of(desc: Description) -> SizeMeasure:
 # -- decoding ------------------------------------------------------------
 
 
-#: Cells of the largest (masks x listed sets) temporary that a batched
-#: subset test builds: 64 KiB of int64.
-BLOCK_CELLS = 1 << 13
-
-
-def disjoint_from_some(masks: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Whether each of ``masks`` is disjoint from some of ``others``, in
-    row blocks of at most ``BLOCK_CELLS`` pairs.  A lies inside some
-    listed B when A is disjoint from some ~B; F holds some listed G when
-    ~F is disjoint from some G."""
-    import numpy as np
-
-    hit = np.zeros(len(masks), dtype=bool)
-    if len(others):
-        step = max(1, BLOCK_CELLS // len(others))
-        for lo in range(0, len(masks), step):
-            hit[lo : lo + step] = (masks[lo : lo + step, None] & others == 0).any(axis=1)
-    return hit
-
-
 def _flat_heights(flat_list: Sequence[int]) -> Dict[int, int]:
     """The longest chain below each flat (its rank in a matroid lattice).
 
-    The flats are placed one cardinality level at a time.  Flats of equal
-    size are never strict subsets of each other, so a level depends only
-    on the flats already placed.  Those are tried by height, highest
-    first, and a flat takes one more than the first height whose group
-    holds one of its subsets (0 if none does): at most n + 1 groups per
-    level, since a flat of height h has at least h elements, and O(k^2)
-    pair cells in all, in ``disjoint_from_some`` blocks."""
-    import numpy as np
-
+    The flats are placed in canonical order, so each strict subset of a
+    flat is placed before it.  Bit i of ``lacking[e]`` is set when flat i
+    lacks e, so the flats inside F are the AND of ``lacking[e]`` over the
+    elements e outside F.  F takes one more than the highest height group
+    that holds one of them (0 if none does): at most n + 1 groups, since
+    a flat of height h has at least h elements."""
     order = canonical_order(flat_list)
-    masks = np.array(order, dtype=np.int64)
-    heights = np.zeros(len(order), dtype=np.int64)
-    sizes = [f.bit_count() for f in order]
-    starts = [i for i in range(1, len(order)) if sizes[i] != sizes[i - 1]]
-    lo = 0
-    for hi in starts + [len(order)]:
-        pending = np.arange(lo, hi)
-        placed, placed_heights = masks[:lo], heights[:lo]
-        for h in range(int(placed_heights.max(initial=-1)), -1, -1):
-            hit = disjoint_from_some(~masks[pending], placed[placed_heights == h])
-            heights[pending[hit]] = h + 1
-            pending = pending[~hit]
-            if not len(pending):
-                break
-        lo = hi
-    return dict(zip(order, heights.tolist()))
+    ground = 0
+    for f in order:
+        ground |= f
+    everything = (1 << len(order)) - 1
+    lacking = [everything ^ c for c in columns(order, ground.bit_length())]
+    groups: List[int] = []  # groups[h]: bit i set when flat i has height h
+    heights: Dict[int, int] = {}
+    for i, f in enumerate(order):
+        inside = (1 << i) - 1
+        for e in elements(ground & ~f):
+            inside &= lacking[e]
+        h = next((h + 1 for h in range(len(groups) - 1, -1, -1) if groups[h] & inside), 0)
+        if h == len(groups):
+            groups.append(0)
+        groups[h] |= 1 << i
+        heights[f] = h
+    return heights
 
 
 def _unlisted_intersection(n: int, closed: int) -> ValueError:
@@ -502,6 +486,11 @@ def encode_from_oracle(view: MatroidView, kind: str) -> Description:
     masks, rank, r = _exhaustive_arrays(view, kind)
     set_ranks = None if rank is None else rank[masks].tolist()
     return canonical(kind, view.n, masks.tolist(), set_ranks, r)
+
+
+#: Bytes of the largest block of text that :func:`encode_text` builds at
+#: once: 8 KiB.
+BLOCK_CELLS = 1 << 13
 
 
 def encode_text(view: MatroidView, kind: str) -> Iterator[str]:

@@ -1,7 +1,7 @@
-"""The array kernels of the listed-data edges against the per-subset
-Python loops they replace, copied here as references: the fundamental
-circuits, the ``bases -> cyclicflats`` rule and the batched greedy basis
-and closure.  Each kernel must give the same list, the same
+"""The kernels of the listed-data edges against the per-subset Python
+loops they replace, copied here as references: the fundamental
+circuits, the ``bases -> cyclicflats`` rule and the greedy basis and
+closure on per-element ints.  Each kernel must give the same list, the same
 ``Description`` or the same ``ValueError`` text as its reference, on
 every corpus matroid and on random families, non-matroids included.
 Every rule that reads a listing must also run in memory far below one
@@ -9,14 +9,13 @@ byte per subset of the ground set."""
 
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from matroidkit import direct_sum, uniform
 from matroidkit.bitsets import canonical_order, elements, full_mask, masks_of_size
-from matroidkit.conversions import _RULES, _closures, _fundamental_circuits, _greedy_bases
+from matroidkit.conversions import _RULES, _closure_and_basis, _fundamental_circuits
 from matroidkit.descriptions import canonical, description, encode_from_oracle, to_view
 
 from conftest import corpus_params
@@ -113,9 +112,10 @@ def test_batched_closures_match_view_queries(drawn, raw):
     assume(sets)
     view = to_view(description("bases", n, sets))
     masks = [m & view.full for m in raw]
-    at, bases = np.array(masks, dtype=np.int64), np.array(sets, dtype=np.int64)
-    assert _closures(at, bases, n).tolist() == [view.closure(m) for m in masks]
-    assert _greedy_bases(at, bases, n).tolist() == [view.basis_of(m) for m in masks]
+    closure_and_basis = _closure_and_basis(sets, n)
+    assert [closure_and_basis(m) for m in masks] == [
+        (view.closure(m), view.basis_of(m)) for m in masks
+    ]
 
 
 #: Three parallel pairs: the cyclic flat of all six elements is a union
