@@ -179,7 +179,7 @@ def parse(text) -> Description:
     seen = set()
     ranks: List[int] = []
     for lineno, line in content_lines(text):
-        if not line and n != 0:
+        if not line and n != 0:  # at n = 0 the empty set's line is blank
             continue
         if header is None:
             fields = line.split()

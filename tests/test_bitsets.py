@@ -10,6 +10,7 @@ from matroidkit.bitsets import (
     CapacityError,
     check_ground,
     check_mask,
+    columns,
     elements,
     format_bits,
     from_elements,
@@ -88,6 +89,16 @@ def test_format_parse_roundtrip(n, seed):
     text = format_bits(mask, n)
     assert len(text) == n
     assert parse_bits(text) == mask
+
+
+@given(st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, full_mask(n)), max_size=40))
+))
+def test_columns_read_the_listing_by_elements(drawn):
+    n, sets = drawn
+    assert columns(sets, n) == [
+        sum(1 << i for i, m in enumerate(sets) if m >> e & 1) for e in range(n)
+    ]
 
 
 def test_format_orientation():
