@@ -154,7 +154,7 @@ def _flats_to_cyclicflats(desc: Description) -> Description:
     listed = set(desc.sets)
     view = to_view(desc)
     keep = [f for f in desc.sets if not any(f & ~(1 << e) in listed for e in elements(f))]
-    return canonical("cyclicflats", desc.n, keep, [view.rank(f) for f in keep])
+    return canonical("cyclicflats", desc.n, keep, [view._rank_of(f) for f in keep])
 
 
 def _non_spanning(circuits: Description) -> Description:

@@ -39,15 +39,14 @@ class MatroidView:
     over all ``2**n`` masks.  A view with neither ``indep`` nor ``rank``
     is table-only: its rank reads :func:`matroidkit.tables.rank_table`
     and its independence follows from that.  The public queries check
-    their mask once and then run unchecked private steps.  ``index_map``
-    is set by :meth:`minor`.
+    their mask once and then run unchecked private steps; library code
+    that built or already checked a mask calls those private steps.
     """
 
     __slots__ = (
         "n",
         "full",
         "table_source",
-        "index_map",
         "_indep",
         "_rank",
         "_tables",
@@ -69,7 +68,6 @@ class MatroidView:
         self.n = n
         self.full = full_mask(n)
         self.table_source = table_source
-        self.index_map = None
         self._indep = indep
         self._rank = rank
         self._tables = None
@@ -147,17 +145,9 @@ class MatroidView:
 
     def minor(self, x: int, y: int) -> "MatroidView":
         """M / x \\ y on the surviving elements, re-indexed 0..n'-1 in
-        their original order.  ``index_map[i]`` is the original index of
-        the minor's element ``i``.  r'(A) = r(A | x) - r(x), gathered
-        through a transient int64 image array (128 MB at n' = 24)."""
-        check_mask(x, self.n)
-        check_mask(y, self.n)
-        if x & y:
-            raise ValueError("contracted and deleted sets overlap")
-        keep = tuple(elements(self.full & ~x & ~y))
-        view = _pull_back(self, [1 << e for e in keep], x)
-        view.index_map = keep
-        return view
+        their original order.  r'(A) = r(A | x) - r(x), gathered through
+        a transient int64 image array (128 MB at n' = 24)."""
+        return _pull_back(self, [1 << e for e in _survivors(self.n, x, y)], x)
 
     def delete(self, y: int) -> "MatroidView":
         return self.minor(0, y)
@@ -176,6 +166,16 @@ class MatroidView:
         from . import tables
 
         return tables.table_view(self.n, np.minimum(tables.rank_table(self), target_rank))
+
+
+def _survivors(n: int, x: int, y: int) -> Tuple[int, ...]:
+    """The ascending elements left by contracting ``x`` and deleting
+    ``y``; both masks are checked, and they must be disjoint."""
+    check_mask(x, n)
+    check_mask(y, n)
+    if x & y:
+        raise ValueError("contracted and deleted sets overlap")
+    return tuple(elements(full_mask(n) & ~x & ~y))
 
 
 def _pull_back(view: MatroidView, images: Sequence[int], x: int = 0) -> MatroidView:
@@ -221,7 +221,7 @@ def add_parallel(view: MatroidView, e: int) -> MatroidView:
     """Append one new element parallel to ``e``."""
     if not 0 <= e < view.n:
         raise ValueError(f"element {e} outside ground set of size {view.n}")
-    if view.rank(1 << e) == 0:
+    if view._rank_of(1 << e) == 0:
         raise ValueError(f"element {e} is a loop; parallel extension undefined")
     check_ground(view.n + 1)
     return _pull_back(view, [1 << i for i in range(view.n)] + [1 << e])
@@ -270,11 +270,7 @@ def minor_circuits(
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Circuit-rule minor: contract ``x`` (:func:`contract_circuits`),
     then delete ``y`` (keep circuits avoiding it).  Returns the
-    re-indexed circuit masks and the index map of surviving elements.
+    re-indexed circuit masks and the ascending surviving elements.
     """
-    check_mask(x, n)
-    check_mask(y, n)
-    if x & y:
-        raise ValueError("contracted and deleted sets overlap")
-    keep = tuple(e for e in range(n) if not (x | y) >> e & 1)
+    keep = _survivors(n, x, y)
     return restrict_circuits(contract_circuits(circuits, x), keep), keep

@@ -214,7 +214,7 @@ def parse(text) -> Description:
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
         if mask in seen:
-            raise ParseError(f"duplicate set {bits}", lineno)
+            raise ParseError(f"duplicate set {bits}" if n else "duplicate empty set", lineno)
         seen.add(mask)
         if kind in PER_SET_RANK_KINDS:
             if not sep:
@@ -403,7 +403,7 @@ def to_view(desc: Description) -> MatroidView:
         co = to_view(dual(desc))
 
         def indep(a: int) -> bool:
-            return co.rank(full & ~a) == co.full_rank
+            return co._rank_of(full & ~a) == co.full_rank
 
         def source() -> np.ndarray:
             from . import tables

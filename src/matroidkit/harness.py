@@ -79,8 +79,6 @@ class SizeRow:
 @dataclass(frozen=True)
 class ExperimentReport:
     family: str
-    n_low: int
-    n_high: int
     rows: Tuple[SizeRow, ...]
 
     @property
@@ -130,7 +128,7 @@ def measure_family(tag: str, n_low: int, n_high: int) -> ExperimentReport:
     rows: List[SizeRow] = []
     for n in range(n_low, n_high + 1):
         rows.extend(_family_rows(tag, n))
-    return ExperimentReport(tag, n_low, n_high, tuple(rows))
+    return ExperimentReport(tag, tuple(rows))
 
 
 def run_separation_suite() -> List[ExperimentReport]:

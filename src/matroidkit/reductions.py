@@ -166,8 +166,8 @@ def detect_minor_fixed(
     union outside A.  The minor itself is built by the circuit
     contraction/deletion rules.  Hyperplane hosts are handled by
     dualising both matroids (:func:`~matroidkit.descriptions.dual` for
-    the host).  A host rank table is memoised as a
-    desk-scale accelerator for the rank prefilter.
+    the host).  The host's rank table is built once per call, from
+    ``to_view(host)``, for the rank prefilter.
 
     Cost: the unions take one pass over a ``2**n`` boolean table per
     circuit and level; each A takes one numpy pass over the unions.  The
@@ -201,7 +201,6 @@ def detect_minor_fixed(
         return None
     unions = np.array(_distinct_unions(host_circuits, t), dtype=np.int64)
     pattern_sizes = [c.bit_count() for c in pattern_circuits]
-    pattern_sig = tables.rank_signature(pattern)
     contracted: Dict[int, List[int]] = {}
 
     for combo in combinations(range(n), s):
@@ -216,10 +215,7 @@ def detect_minor_fixed(
             # isomorphic matroids have the same circuit sizes: no table needed
             if [c.bit_count() for c in circ] != pattern_sizes:
                 continue
-            minor_view = to_view(canonical("circuits", s, circ))
-            if tables.rank_signature(minor_view) != pattern_sig:
-                continue
-            sigma = isomorphic(minor_view, pattern)
+            sigma = isomorphic(to_view(canonical("circuits", s, circ)), pattern)
             if sigma is not None:
                 return MinorWitness(x=x, y=full & ~amask & ~x, iso=sigma)
     return None
@@ -370,7 +366,7 @@ def intersect3_bruteforce(
         return None
     for combo in combinations(range(m1.n), k):
         a = from_elements(combo)
-        if m1.is_independent(a) and m2.is_independent(a) and m3.is_independent(a):
+        if m1._independent(a) and m2._independent(a) and m3._independent(a):
             return a
     return None
 

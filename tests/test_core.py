@@ -9,7 +9,9 @@ from matroidkit import (
     relabel,
     uniform,
 )
-from matroidkit import core
+from matroidkit import bitsets, core, descriptions, encode_from_oracle, to_view
+from matroidkit.conversions import convert_edge
+from matroidkit.reductions import intersect3_bruteforce
 from matroidkit.tables import family_masks, popcounts, rank_table, views_equal
 
 from conftest import corpus_params
@@ -62,7 +64,16 @@ def _greedy_u23():
 
 
 @pytest.mark.parametrize("query", ["is_independent", "rank", "basis_of", "closure"])
-@pytest.mark.parametrize("build", [lambda: uniform(2, 3), _greedy_u23], ids=["table", "greedy"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: uniform(2, 3),
+        _greedy_u23,
+        lambda: to_view(encode_from_oracle(uniform(2, 3), "hyperplanes")),
+        lambda: to_view(encode_from_oracle(uniform(2, 3), "dephyp")),
+    ],
+    ids=["table", "greedy", "hyperplanes", "dephyp"],
+)
 def test_public_queries_check_the_mask_once(monkeypatch, query, build):
     view = build()
     for bad in (0b1000, -1):
@@ -73,6 +84,23 @@ def test_public_queries_check_the_mask_once(monkeypatch, query, build):
     monkeypatch.setattr(core, "check_mask", lambda a, n: calls.append(a) or checked(a, n))
     getattr(view, query)(0b111)
     assert calls == [0b111]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: intersect3_bruteforce(uniform(2, 4), uniform(3, 4), uniform(2, 4), 2),
+        lambda: add_parallel(uniform(2, 4), 3),
+        lambda: convert_edge(encode_from_oracle(uniform(3, 5), "flats"), "cyclicflats"),
+    ],
+    ids=["intersect3_bruteforce", "add_parallel", "flats-cyclicflats"],
+)
+def test_library_steps_on_built_masks_check_nothing(monkeypatch, run):
+    calls = []
+    for module in (bitsets, core, descriptions):
+        monkeypatch.setattr(module, "check_mask", lambda a, n: calls.append(a) or a)
+    run()
+    assert calls == []
 
 
 @pytest.mark.parametrize("view", corpus_params())
@@ -90,7 +118,6 @@ def test_minor_rank_rule_and_index_map():
     u = uniform(2, 5)
     m = u.minor(0b00001, 0b01000)  # contract {0}, delete {3}
     assert m.n == 3
-    assert m.index_map == (1, 2, 4)
     assert m.full_rank == 1
     assert m.rank(0b001) == 1  # {1} alone spans after contracting {0}
     with pytest.raises(ValueError):
@@ -158,7 +185,7 @@ def test_minor_circuits_rule_matches_rank_rule(view):
             continue
         got, keep = minor_circuits(circuits, view.n, x, y)
         expected_view = view.minor(x, y)
-        assert keep == expected_view.index_map
+        assert keep == tuple(e for e in range(view.n) if not (x | y) >> e & 1)
         assert list(got) == family_masks(expected_view, "circuits").tolist()
 
 

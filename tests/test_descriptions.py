@@ -154,7 +154,7 @@ MALFORMED = [
     ("matroid bases n=-1\n:1\n", "line 2: bitstring of length 0, expected -1"),
     ("matroid rank n=2\n00:0\n", "line 1: rank table lists 1 subsets, expected 4"),
     ("matroid rank n=0\n", "line 1: rank table lists 0 subsets, expected 1"),
-    ("matroid bases n=0\n\n\n", "line 3: duplicate set "),
+    ("matroid bases n=0\n\n\n", "line 3: duplicate empty set"),
     ("matroid rank n=30\n0:0\n", "line 2: bitstring of length 1, expected 30"),
     ("matroid rank n=2\n00:0\n10:1\n01:1\n11:2\n11:2\n", "line 6: duplicate set 11"),
     ("matroid bases n=3\n1\u06610\n", "line 2: bad character '\u0661' in bitstring '1\u06610'"),

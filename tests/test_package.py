@@ -1,5 +1,7 @@
 """The package surface: every public name, resolved on first access."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,21 @@ from types import ModuleType
 import pytest
 
 import matroidkit
+from matroidkit import (
+    add_loops,
+    add_parallel,
+    description,
+    encode_from_oracle,
+    intersect3_bases,
+    intersect3_bruteforce,
+    multigraph,
+    parse,
+    phi_r,
+    subdivide,
+    to_view,
+    uniform,
+)
+from matroidkit.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUBMODULES = ("bitsets", "conversions", "core", "descriptions", "families", "harness",
@@ -85,3 +102,65 @@ def test_public_name_is_its_home_module_object(name):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         matroidkit.no_such_name
+
+
+def _raised(call, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    return str(err.value)
+
+
+def _cli_stderr(*argv) -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(list(argv)) == 2
+    return err.getvalue()
+
+
+def _bases(r, n):
+    return encode_from_oracle(uniform(r, n), "bases")
+
+
+#: Error messages that name the fault, each with a call that gives it.
+MESSAGES = {
+    "parse-header-without-n": (
+        lambda: _raised(parse, "matroid bases r=1\n"), "line 1: header is missing n=<n>"),
+    "parse-utf8-bytes": (
+        lambda: _raised(parse, "matroid bases n=1\n\u0661\n".encode("utf-8")),
+        "line 2: bad character '\u0661' in bitstring '\u0661'"),
+    "flats-without-ground-set": (
+        lambda: _raised(to_view, description("flats", 2, [0b01])),
+        "flats description does not list the ground set"),
+    "cyclicflats-without-sets": (
+        lambda: _raised(to_view, description("cyclicflats", 2, [], [])),
+        "cyclic-flats description lists no sets"),
+    "flats-rank-unlisted-intersection": (
+        lambda: _raised(to_view(description("flats", 2, [0b01, 0b10, 0b11])).rank, 0),
+        "flats are not closed under intersection: 00 is an intersection of listed flats"
+        " but is not listed"),
+    "add-parallel-outside": (
+        lambda: _raised(add_parallel, uniform(2, 3), 3),
+        "element 3 outside ground set of size 3"),
+    "add-loops-negative": (
+        lambda: _raised(add_loops, multigraph(2, [(0, 1)]), -1), "per_vertex must be >= 0"),
+    "subdivide-zero": (
+        lambda: _raised(subdivide, multigraph(2, [(0, 1)]), 0), "path length t must be >= 1"),
+    "phi-r-rank-too-high": (
+        lambda: _raised(phi_r, multigraph(3, []), 4), "bicircular rank 3 below target rank 4"),
+    "intersect3-bruteforce-grounds": (
+        lambda: _raised(intersect3_bruteforce, uniform(1, 2), uniform(1, 2), uniform(1, 3), 1),
+        "matroids do not share a ground set"),
+    "intersect3-bases-grounds": (
+        lambda: _raised(intersect3_bases, _bases(1, 2), _bases(1, 3), _bases(1, 2), 1),
+        "matroids do not share a ground set"),
+    "uniform-rank": (
+        lambda: _raised(uniform, 3, 2), "uniform matroid needs 0 <= r <= n, got r=3, n=2"),
+    "cli-iso-one-file": (
+        lambda: _cli_stderr("iso", "a.txt"), "iso needs two description files (or --encode FILE)\n"),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGES)
+def test_error_message_text(case):
+    get, message = MESSAGES[case]
+    assert get() == message

@@ -1,6 +1,8 @@
 """Rules on the library source itself."""
 
 import ast
+import contextlib
+import importlib
 from pathlib import Path
 
 import pytest
@@ -304,3 +306,43 @@ def test_the_classify_rule_sees_every_form():
         "z = tables.family_table(view, 'bases')\n"
     )
     assert _classify_uses(source) == [2, 3, 6, 7, 8]
+
+
+TRACING = SOURCES[0].parent.parent.parent / "perfbench" / "tracing.py"
+
+
+def _traced_names(source: str):
+    """What the traced benchmark run wraps, read from its source: its
+    modules, the (module, attribute) keys of ``SPANS`` and ``OVERRIDES``,
+    ``COUNTED`` and every other two-string tuple literal that names one
+    of those modules, and the ``MatroidView`` methods in ``CORE_METHODS``."""
+    tree = ast.parse(source)
+    consts = {}
+    for node in tree.body:
+        target = node.target if isinstance(node, ast.AnnAssign) else (
+            node.targets[0] if isinstance(node, ast.Assign) else None)
+        if isinstance(target, ast.Name):
+            with contextlib.suppress(ValueError):
+                consts[target.id] = ast.literal_eval(node.value)
+    modules = consts["MODULES"]
+    pairs = {*consts["SPANS"], *consts["OVERRIDES"], *consts["COUNTED"]}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2:
+            with contextlib.suppress(ValueError):
+                pair = ast.literal_eval(node)
+                if all(isinstance(s, str) for s in pair) and pair[0] in modules:
+                    pairs.add(pair)
+    return modules, sorted(pairs), consts["CORE_METHODS"]
+
+
+def test_every_name_the_benchmark_trace_wraps_exists():
+    # the traced run swaps these names for wrappers; one renamed away
+    # would crash it with an AttributeError instead of failing here
+    modules, pairs, methods = _traced_names(TRACING.read_text(encoding="utf-8"))
+    assert ("conversions", "convert_edge") in pairs
+    assert ("bitsets", "check_mask") in pairs
+    kit = {name: importlib.import_module(f"matroidkit.{name}") for name in modules}
+    missing = [f"{m}.{a}" for m, a in pairs if not hasattr(kit[m], a)]
+    missing += [f"core.MatroidView.{name}" for name in methods
+                if not hasattr(kit["core"].MatroidView, name)]
+    assert not missing, f"perfbench/tracing.py wraps names that do not exist: {missing}"
