@@ -1,7 +1,6 @@
 """Rules on the library source itself."""
 
 import ast
-import contextlib
 import importlib
 from pathlib import Path
 
@@ -308,31 +307,29 @@ def test_the_classify_rule_sees_every_form():
     assert _classify_uses(source) == [2, 3, 6, 7, 8]
 
 
-TRACING = SOURCES[0].parent.parent.parent / "perfbench" / "tracing.py"
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _traced_names(source: str):
-    """What the traced benchmark run wraps, read from its source: its
-    modules, the (module, attribute) keys of ``SPANS`` and ``OVERRIDES``,
-    ``COUNTED`` and every other two-string tuple literal that names one
-    of those modules, and the ``MatroidView`` methods in ``CORE_METHODS``."""
+    """What the traced benchmark run wraps, read from its source: the
+    ``MODULES`` it patches, every two-string tuple literal that names one
+    of them (the keys of ``SPANS`` and ``OVERRIDES``, ``COUNTED``,
+    ``convert_edge``), and the ``MatroidView`` methods in ``CORE_METHODS``."""
     tree = ast.parse(source)
-    consts = {}
-    for node in tree.body:
-        target = node.target if isinstance(node, ast.AnnAssign) else (
-            node.targets[0] if isinstance(node, ast.Assign) else None)
-        if isinstance(target, ast.Name):
-            with contextlib.suppress(ValueError):
-                consts[target.id] = ast.literal_eval(node.value)
-    modules = consts["MODULES"]
-    pairs = {*consts["SPANS"], *consts["OVERRIDES"], *consts["COUNTED"]}
+    consts = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    modules = ast.literal_eval(consts["MODULES"])
+    pairs = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Tuple) and len(node.elts) == 2:
-            with contextlib.suppress(ValueError):
-                pair = ast.literal_eval(node)
-                if all(isinstance(s, str) for s in pair) and pair[0] in modules:
-                    pairs.add(pair)
-    return modules, sorted(pairs), consts["CORE_METHODS"]
+            if all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+                module, attr = (e.value for e in node.elts)
+                if module in modules:
+                    pairs.add((module, attr))
+    return modules, sorted(pairs), ast.literal_eval(consts["CORE_METHODS"])
 
 
 def test_every_name_the_benchmark_trace_wraps_exists():
