@@ -18,7 +18,7 @@ reversal, a cap, an outer sum, or a gather through an image table).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 # numpy and ``tables`` load in the functions that build tables, so the
 # listed-data rules never load them; ``np`` in annotations is never evaluated
@@ -27,6 +27,7 @@ from .bitsets import (
     check_ground,
     check_mask,
     elements,
+    from_elements,
     full_mask,
     minimal_sets,
 )
@@ -237,40 +238,24 @@ def relabel(view: MatroidView, perm: Sequence[int]) -> MatroidView:
     return _pull_back(view, images)
 
 
-def contract_circuits(circuits: Sequence[int], x: int) -> List[int]:
-    """Circuits of M / x, in the original numbering: contract ``x``
-    element by element (circuits of M/e are the minimal nonempty members
-    of {C - e})."""
-    work = list(dict.fromkeys(circuits))
-    for e in elements(x):
-        bit = 1 << e
-        work = minimal_sets({c & ~bit for c in work if c & ~bit})
-    return work
-
-
-def restrict_circuits(
-    circuits: Sequence[int], keep: Sequence[int]
-) -> Tuple[int, ...]:
-    """The circuits inside the ascending elements ``keep``, re-indexed so
-    that ``keep[i]`` becomes element ``i``, in canonical order."""
-    pos = {old: i for i, old in enumerate(keep)}
-    inside = sum(1 << e for e in keep)
-
-    def compress(c: int) -> int:
-        m = 0
-        for e in elements(c):
-            m |= 1 << pos[e]
-        return m
-
-    return tuple(canonical_order({compress(c) for c in circuits if c & inside == c}))
-
-
 def minor_circuits(
     circuits: Sequence[int], n: int, x: int, y: int
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Circuit-rule minor: contract ``x`` (:func:`contract_circuits`),
-    then delete ``y`` (keep circuits avoiding it).  Returns the
-    re-indexed circuit masks and the ascending surviving elements.
+    """Circuit-rule minor: keep the circuits that avoid ``y``, then
+    contract ``x`` element by element (the circuits of M / e are the
+    minimal non-empty members of {C - e}).  Returns the circuit masks,
+    re-indexed so that the i-th surviving element becomes element i, in
+    canonical order, and the ascending surviving elements.
+
+    Deleting first gives what contracting first would, on any listed
+    antichain: the sets inside E - y are closed under subsets, and for
+    e in x, C - e lies inside E - y exactly when C does.
     """
     keep = _survivors(n, x, y)
-    return restrict_circuits(contract_circuits(circuits, x), keep), keep
+    work = {c for c in circuits if not c & y}
+    for e in elements(x):
+        bit = 1 << e
+        work = minimal_sets({c & ~bit for c in work if c & ~bit})
+    pos = {old: i for i, old in enumerate(keep)}
+    renamed = {from_elements(pos[e] for e in elements(c)) for c in work}
+    return tuple(canonical_order(renamed)), keep

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from . import tables
 from .bitsets import check_ground, elements, from_elements, full_mask, maximal_sets
-from .core import MatroidView, contract_circuits, relabel, restrict_circuits
+from .core import MatroidView, relabel
 from .descriptions import Description, canonical, dual, encode_from_oracle, int_records, to_view
 from .families import MultiGraph, phi, phi_r, subdivision_length
 
@@ -154,28 +154,80 @@ def _distinct_unions(circuits: Sequence[int], t: int) -> List[int]:
     return np.flatnonzero(levels[t]).tolist()
 
 
+#: Contract sets, or cells of candidate minor rank tables, handled at once.
+_MINOR_CELLS = 1 << 20
+
+
+def _first_minor(
+    rt: np.ndarray,
+    pattern: MatroidView,
+    candidates: Iterator[Tuple[Tuple[int, ...], np.ndarray]],
+) -> Optional[MinorWitness]:
+    """The minor test of both minor searches.
+
+    ``candidates`` yields, in search order, a set A of |N| kept elements
+    (ascending) and an int64 array of contract sets x disjoint from it.
+    The minor for x has the rank table r(S + x) - r(x) over S within A,
+    read from the host's rank table ``rt``: the minor that
+    :func:`verify_minor_witness` checks.  numpy passes keep the x with
+    r(A + x) - r(x) = r(N), gather their minors' rank tables as rows in
+    blocks of at most ``_MINOR_CELLS`` cells, and compare each row's
+    (size, rank) histogram with the pattern's; only rows that match
+    reach :func:`isomorphic`.  Returns the first x that passes, in
+    candidate order, as a witness that deletes the rest of E.
+    """
+    s = pattern.n
+    pr = pattern.full_rank
+    width = s + 1
+    pattern_sig = np.array(tables.rank_signature(pattern))
+    # histogram bin of (size, rank) is size * width + rank
+    size_bins = tables.popcounts(s).astype(np.int64) * width
+    full = len(rt) - 1  # rt has one entry per subset of E
+    chunk = max(1, _MINOR_CELLS >> s)
+    for combo, xs in candidates:
+        amask = from_elements(combo)
+        xs = xs[rt[amask | xs] - rt[xs] == pr]
+        if not len(xs):
+            continue
+        expand = tables.image_table(s, [1 << e for e in combo])
+        for lo in range(0, len(xs), chunk):
+            part = xs[lo : lo + chunk]
+            rows = rt[expand[None, :] | part[:, None]] - rt[part, None]
+            bins = np.arange(len(part))[:, None] * width * width + size_bins + rows
+            hist = np.bincount(bins.ravel(), minlength=len(part) * width * width)
+            matches = (hist.reshape(len(part), -1) == pattern_sig).all(axis=1)
+            for i in np.flatnonzero(matches).tolist():
+                sigma = isomorphic(tables.table_view(s, rows[i]), pattern)
+                if sigma is not None:
+                    x = int(part[i])
+                    return MinorWitness(x=x, y=full & ~amask & ~x, iso=sigma)
+    return None
+
+
 def detect_minor_fixed(
     host: Description, pattern: MatroidView
 ) -> Optional[MinorWitness]:
     """Fixed-pattern minor detection on a circuits or hyperplanes
     description.
 
-    Searches size-|N| element subsets A combined with unions of t host
-    circuits (t = number of pattern circuits; a free pattern has t = 0
-    and the empty union alone); the contract set is the part x of a
-    union outside A.  The minor itself is built by the circuit
-    contraction/deletion rules.  Hyperplane hosts are handled by
-    dualising both matroids (:func:`~matroidkit.descriptions.dual` for
-    the host).  The host's rank table is built once per call, from
-    ``to_view(host)``, for the rank prefilter.
+    Candidates: for each set A of |N| kept elements, in combinations
+    order, the contract sets x are the parts outside A of the distinct
+    unions of t host circuits, in ascending order of the union (t =
+    number of pattern circuits; a free pattern has t = 0 and the empty
+    union alone).  Each x goes through the minor test that
+    :func:`detect_minor_exhaustive` shares (:func:`_first_minor`), on
+    the host's rank table, built once per call from ``to_view(host)``.
+    So on a host that is not a matroid the minor is the one
+    :func:`verify_minor_witness` checks.  Hyperplane hosts are handled
+    by dualising both matroids (:func:`~matroidkit.descriptions.dual`
+    for the host).
 
     Cost: the unions take one pass over a ``2**n`` boolean table per
-    circuit and level; each A takes one numpy pass over the unions.  The
-    contracted circuit list is memoised per x, so each distinct x pays
-    for its contraction once and each (A, x) pair that passes the rank
-    prefilter only for the deletion and renumbering.  A minor whose
-    circuit sizes differ from the pattern's is dropped before any table
-    is built.
+    circuit and level; each A takes one numpy pass over the unions for
+    the rank filter, then 2**|N| table cells per x that passes it.
+    Memory: besides the rank table and the unions, a few int64 arrays
+    of at most ``_MINOR_CELLS`` entries, as the x that pass are walked
+    in blocks of that size.
     """
     if host.kind == "hyperplanes":
         w = detect_minor_fixed(dual(host), pattern.dual())
@@ -185,44 +237,19 @@ def detect_minor_fixed(
         return MinorWitness(x=w.y, y=w.x, iso=w.iso)
     if host.kind != "circuits":
         raise ValueError(f"host must be circuits or hyperplanes, got {host.kind!r}")
-
-    n = host.n
-    full = full_mask(n)
     s = pattern.n
-    if s > n:
+    if s > host.n:
+        return None
+    t = len(tables.family_masks(pattern, "circuits"))
+    if len(host.sets) < t:
         return None
     rt = tables.rank_table(to_view(host))
-    pattern_circuits = tables.family_masks(pattern, "circuits").tolist()
-    t = len(pattern_circuits)
-    pr = pattern.full_rank
-
-    host_circuits = list(host.sets)
-    if len(host_circuits) < t:
-        return None
-    unions = np.array(_distinct_unions(host_circuits, t), dtype=np.int64)
-    pattern_sizes = [c.bit_count() for c in pattern_circuits]
-    contracted: Dict[int, List[int]] = {}
-
-    for combo in combinations(range(n), s):
-        amask = from_elements(combo)
-        outside = unions & ~amask
-        _, first = np.unique(outside, return_index=True)
-        xs = outside[np.sort(first)]  # distinct, in order of first occurrence
-        for x in xs[rt[amask | xs] - rt[xs] == pr].tolist():
-            if x not in contracted:
-                contracted[x] = contract_circuits(host_circuits, x)
-            circ = restrict_circuits(contracted[x], combo)
-            # isomorphic matroids have the same circuit sizes: no table needed
-            if [c.bit_count() for c in circ] != pattern_sizes:
-                continue
-            sigma = isomorphic(to_view(canonical("circuits", s, circ)), pattern)
-            if sigma is not None:
-                return MinorWitness(x=x, y=full & ~amask & ~x, iso=sigma)
-    return None
-
-
-#: Contract sets, or cells of candidate minor rank tables, handled at once.
-_MINOR_CELLS = 1 << 20
+    unions = np.array(_distinct_unions(list(host.sets), t), dtype=np.int64)
+    # a repeated x fails or passes just as its first occurrence did
+    candidates = (
+        (combo, unions & ~from_elements(combo)) for combo in combinations(range(host.n), s)
+    )
+    return _first_minor(rt, pattern, candidates)
 
 
 def detect_minor_exhaustive(
@@ -231,56 +258,34 @@ def detect_minor_exhaustive(
     """Brute force over all disjoint (contract, delete) pairs; the
     correctness oracle for :func:`detect_minor_fixed`.
 
-    For each set A of |N| kept elements, in combinations order, the
-    contract sets x run over the subsets of E - A in ascending order.
-    numpy passes keep the x with r(A + x) - r(x) = r(N), gather the
-    minors' rank tables r(S + x) - r(x) as rows, and compare each row's
-    (size, rank) histogram with the pattern's; only rows that match
-    reach :func:`isomorphic`.  The first witness is the one the
-    per-x loop in that order would find.  Cost: C(n, |N|) * 2**n table
-    cells in numpy.  Memory: besides the rank table, a few int64 arrays
-    of at most ``_MINOR_CELLS`` entries, as the x and the rows are
-    walked in blocks of that size.
+    Candidates: for each set A of |N| kept elements, in combinations
+    order, the contract sets x are the subsets of E - A in ascending
+    order.  Each x goes through the minor test that
+    :func:`detect_minor_fixed` shares (:func:`_first_minor`), so on a
+    host that is not a matroid the minor is the one
+    :func:`verify_minor_witness` checks.  The first witness is the one
+    a per-x loop in that order would find.  Cost: C(n, |N|) * 2**n
+    table cells in numpy.  Memory: besides the rank table, a few int64
+    arrays of at most ``_MINOR_CELLS`` entries, as the x are listed and
+    tested in blocks of that size.
     """
     s = pattern.n
     if s > host.n:
         return None
-    rt = tables.rank_table(host)
-    pr = pattern.full_rank
-    width = s + 1
-    pattern_sig = np.array(tables.rank_signature(pattern))
-    # histogram bin of (size, rank) is size * width + rank
-    size_bins = tables.popcounts(s).astype(np.int64) * width
     full = full_mask(host.n)
-    chunk = max(1, _MINOR_CELLS >> s)
     low_count = _MINOR_CELLS.bit_length() - 1
 
-    for combo in combinations(range(host.n), s):
-        amask = from_elements(combo)
-        rest = full & ~amask
-        bits = [1 << e for e in elements(rest)]
-        # x = high | low lists the subsets of E - A in ascending order,
-        # one block of low subsets per high subset
-        low_bits, high_bits = bits[:low_count], bits[low_count:]
-        low = tables.image_table(len(low_bits), low_bits)
-        for high in tables.image_table(len(high_bits), high_bits).tolist():
-            xs = low | high
-            xs = xs[rt[amask | xs] - rt[xs] == pr]
-            if not len(xs):
-                continue
-            expand = tables.image_table(s, [1 << e for e in combo])
-            for lo in range(0, len(xs), chunk):
-                part = xs[lo : lo + chunk]
-                rows = rt[expand[None, :] | part[:, None]] - rt[part, None]
-                bins = np.arange(len(part))[:, None] * width * width + size_bins + rows
-                hist = np.bincount(bins.ravel(), minlength=len(part) * width * width)
-                matches = (hist.reshape(len(part), -1) == pattern_sig).all(axis=1)
-                for i in np.flatnonzero(matches).tolist():
-                    sigma = isomorphic(tables.table_view(s, rows[i]), pattern)
-                    if sigma is not None:
-                        x = int(part[i])
-                        return MinorWitness(x=x, y=rest & ~x, iso=sigma)
-    return None
+    def candidates():
+        for combo in combinations(range(host.n), s):
+            bits = [1 << e for e in elements(full & ~from_elements(combo))]
+            # x = high | low lists the subsets of E - A in ascending order,
+            # one block of low subsets per high subset
+            low_bits, high_bits = bits[:low_count], bits[low_count:]
+            low = tables.image_table(len(low_bits), low_bits)
+            for high in tables.image_table(len(high_bits), high_bits).tolist():
+                yield combo, low | high
+
+    return _first_minor(tables.rank_table(host), pattern, candidates())
 
 
 # -- graph encoding of descriptions --------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroidkit import (
     MatroidView,
@@ -192,6 +194,45 @@ def test_minor_circuits_rule_matches_rank_rule(view):
 def test_minor_circuits_rejects_overlap():
     with pytest.raises(ValueError):
         minor_circuits([0b11], 2, 0b01, 0b01)
+
+
+def contract_then_restrict(circuits, n, x, y):
+    """The circuit-rule minor the other way round: contract ``x`` over
+    the whole list, element by element, then keep the circuits inside
+    the survivors and re-index them."""
+    work = list(dict.fromkeys(circuits))
+    for e in bitsets.elements(x):
+        bit = 1 << e
+        work = bitsets.minimal_sets({c & ~bit for c in work if c & ~bit})
+    keep = [e for e in range(n) if not (x | y) >> e & 1]
+    pos = {old: i for i, old in enumerate(keep)}
+    inside = sum(1 << e for e in keep)
+
+    def compress(c):
+        return sum(1 << pos[e] for e in bitsets.elements(c))
+
+    return tuple(bitsets.canonical_order({compress(c) for c in work if c & inside == c}))
+
+
+@st.composite
+def antichain_minors(draw):
+    """A random antichain of non-empty sets, n <= 8, not necessarily the
+    circuits of a matroid, and disjoint contract and delete sets."""
+    n = draw(st.integers(1, 8))
+    full = (1 << n) - 1
+    candidates = draw(st.lists(st.integers(1, full), min_size=1, max_size=12))
+    circuits = bitsets.minimal_sets(set(candidates))
+    x = draw(st.integers(0, full))
+    y = draw(st.integers(0, full)) & ~x
+    return circuits, n, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichain_minors())
+def test_minor_circuits_deletes_first_as_contracting_first_would(drawn):
+    circuits, n, x, y = drawn
+    got, _ = minor_circuits(circuits, n, x, y)
+    assert got == contract_then_restrict(circuits, n, x, y)
 
 
 @pytest.mark.parametrize("view", corpus_params())

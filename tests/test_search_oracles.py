@@ -1,10 +1,11 @@
 """The output-sensitive search routes against the plain searches they
 replace, copied here as references: the all-triples scan for
 ``intersect3_bases``, the per-x loop for ``detect_minor_exhaustive`` and
-the per-union loop with a fresh circuit contraction for
-``detect_minor_fixed``.  Each route must find the same answer, and the
-minor searches the very same witness.  Free patterns U(s, s) have no
-reference here; their witnesses are checked by ``verify_minor_witness``."""
+the per-union loop for ``detect_minor_fixed``, which builds one minor
+view per distinct (A, x) with ``MatroidView.minor``.  Each route must
+find the same answer, and the minor searches the very same witness.
+Free patterns U(s, s) have no reference here; their witnesses are
+checked by ``verify_minor_witness``."""
 
 import tracemalloc
 from functools import reduce
@@ -29,7 +30,6 @@ from matroidkit import (
 )
 from matroidkit import reductions, tables
 from matroidkit.bitsets import elements, from_elements, full_mask, submasks
-from matroidkit.core import minor_circuits
 from matroidkit.reductions import MinorWitness, _distinct_unions
 
 from conftest import P3, minor_host_params
@@ -102,13 +102,15 @@ def distinct_unions_by_sets(circuits, t):
 
 
 def minor_fixed_per_union(host, pattern):
-    """The circuits route with the contraction redone for every (A, x)."""
+    """The circuits route with one minor view per distinct (A, x), taken
+    by the rank rule of ``MatroidView.minor``."""
     n = host.n
     full = full_mask(n)
     s = pattern.n
     if s > n:
         return None
-    rt = tables.rank_table(to_view(host))
+    view = to_view(host)
+    rt = tables.rank_table(view)
     t = len(tables.family_masks(pattern, "circuits"))
     pr = pattern.full_rank
     circuits = list(host.sets)
@@ -127,8 +129,7 @@ def minor_fixed_per_union(host, pattern):
             y = full & ~amask & ~x
             if int(rt[amask | x]) - int(rt[x]) != pr:
                 continue
-            circ, _ = minor_circuits(circuits, n, x, y)
-            minor_view = to_view(description("circuits", s, circ))
+            minor_view = view.minor(x, y)
             if tables.rank_signature(minor_view) != pattern_sig:
                 continue
             sigma = isomorphic(minor_view, pattern)
@@ -207,6 +208,14 @@ def test_minor_fixed_keeps_the_per_union_witness(host, pattern):
         assert detect_minor_fixed(circuits, pattern) == want
 
 
+# blocks of 4 kept contract sets, and rows of 4 cells or a single row
+@pytest.mark.parametrize("pattern", pattern_params())
+@pytest.mark.parametrize("host", minor_host_params())
+def test_minor_fixed_keeps_the_per_union_witness_in_blocks(host, pattern, monkeypatch):
+    monkeypatch.setattr(reductions, "_MINOR_CELLS", 1 << 2)
+    test_minor_fixed_keeps_the_per_union_witness(host, pattern)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(1, 255), max_size=9, unique=True), st.integers(0, 4))
 def test_distinct_unions_match_combinations(circuits, t):
@@ -220,6 +229,25 @@ def test_minor_fixed_keeps_the_per_union_witness_on_antichains(drawn):
     want = minor_fixed_per_union(host, pattern)
     if want != "not compared":
         assert detect_minor_fixed(host, pattern) == want
+
+
+def test_minor_fixed_checks_the_minor_the_witness_names():
+    # not a matroid: contracting x = {0, 1, 3, 4, 5} by the circuit rule
+    # leaves a U(1,3) on {2, 6, 7}, but in the rank rule's minor there
+    # element 7 is a loop; a witness must pass verify_minor_witness
+    host = description("circuits", 8, [33, 70, 134, 9, 136, 210])
+    pattern = uniform(1, 3)
+    w = detect_minor_fixed(host, pattern)
+    assert w is None or verify_minor_witness(to_view(host), pattern, w), w
+
+
+def test_minor_fixed_meets_the_exhaustive_witness_on_a_non_matroid():
+    # the circuit rule finds U(3,4) at x = {0, 3} first; the rank rule
+    # first at x = {1, 2, 3}, as the exhaustive search does
+    host = description("circuits", 7, [9, 14, 114])
+    pattern = uniform(3, 4)
+    w = detect_minor_fixed(host, pattern)
+    assert w is not None and w == detect_minor_exhaustive(to_view(host), pattern)
 
 
 def test_minor_exhaustive_memory_is_bounded_by_the_block(monkeypatch):

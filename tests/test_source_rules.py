@@ -307,6 +307,63 @@ def test_the_classify_rule_sees_every_form():
     assert _classify_uses(source) == [2, 3, 6, 7, 8]
 
 
+def _isomorphic_uses(source: str, helper: str = "_first_minor"):
+    """Lines that name ``isomorphic`` (a call, an attribute, an alias or
+    a bare reference) outside the function ``helper`` and outside the
+    definition of ``isomorphic`` itself."""
+    lines = []
+
+    def visit(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, inside or child.name in (helper, "isomorphic"))
+                continue
+            if not inside:
+                if isinstance(child, ast.Name) and child.id == "isomorphic":
+                    lines.append(child.lineno)
+                elif isinstance(child, ast.Attribute) and child.attr == "isomorphic":
+                    lines.append(child.lineno)
+                elif isinstance(child, ast.ImportFrom):
+                    if any(alias.name == "isomorphic" for alias in child.names):
+                        lines.append(child.lineno)
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_both_minor_searches_test_minors_in_one_helper():
+    # the two minor searches differ only in their contract sets; the
+    # minor they test, the one verify_minor_witness checks, is built and
+    # compared in reductions._first_minor alone
+    path = SOURCES[0].parent / "reductions.py"
+    source = path.read_text(encoding="utf-8")
+    lines = _isomorphic_uses(source)
+    assert not lines, f"reductions.py: isomorphic used outside _first_minor on line(s) {lines}"
+    assert _isomorphic_uses(source, helper=""), "reductions.py: _first_minor no longer calls isomorphic"
+
+
+def test_the_isomorphic_rule_sees_every_form():
+    source = (
+        "from . import reductions\n"
+        "from .reductions import isomorphic as iso\n"
+        "def isomorphic(a, b):\n"
+        "    return isomorphic(b, a)\n"
+        "def _first_minor(rt, pattern, candidates):\n"
+        "    def test(view):\n"
+        "        return isomorphic(view, pattern)\n"
+        "    return isomorphic(rt, pattern)\n"
+        "def detect_minor_fixed(host, pattern):\n"
+        "    return isomorphic(host, pattern)\n"
+        "class Search:\n"
+        "    def run(self):\n"
+        "        return [reductions.isomorphic(a, b) for a, b in ()]\n"
+        "test = isomorphic\n"
+    )
+    assert _isomorphic_uses(source) == [2, 10, 13, 14]
+    assert _isomorphic_uses(source, helper="") == [2, 7, 8, 10, 13, 14]
+
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
