@@ -3,10 +3,11 @@
 A :class:`Description` is the persistent artifact: a kind tag, a ground
 set size, a canonically ordered list of subset masks, and where the kind
 requires it a rank per set or a matroid rank in the header.  This module
-owns the text format, the decoding rules that turn a description into a
-queryable :class:`~matroidkit.core.MatroidView`, the listed dual of the
-kinds that pair up under duality, exhaustive re-encoding, size
-measurement and semantic equality.
+owns the text format, the per-query rules of the queryable
+:class:`~matroidkit.core.MatroidView` a description decodes to (its
+table is :func:`matroidkit.tables.decode`), the listed dual of the kinds
+that pair up under duality, exhaustive re-encoding, size measurement and
+semantic equality.
 
 Every description is built by :func:`canonical`, which orders the sets
 and carries their ranks along unchecked.  Input is checked once, where
@@ -29,6 +30,7 @@ element 0.  Blank lines are ignored, except on the empty ground set
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # numpy and ``tables`` load in the functions that run array passes or
@@ -302,18 +304,6 @@ def _unlisted_intersection(n: int, closed: int) -> ValueError:
     )
 
 
-def _flat_closure(n: int, flat_list: Sequence[int]) -> np.ndarray:
-    """The intersection of the listed flats containing each mask (the
-    ground set where none does): a superset-AND transform."""
-    import numpy as np
-
-    from . import tables
-
-    closure = np.full(1 << n, full_mask(n), dtype=np.int32)
-    closure[np.array(flat_list, dtype=np.int64)] = flat_list
-    return tables.superset_and(closure, n)
-
-
 #: The kind that lists M* by the complements of a kind's sets: the bases
 #: of M* complement the bases of M, the circuits of M* the hyperplanes of
 #: M, and the non-spanning circuits of M* the dependent hyperplanes of M
@@ -340,52 +330,37 @@ def dual(desc: Description) -> Description:
 def to_view(desc: Description) -> MatroidView:
     """Decode a description into a queryable view.
 
-    Each kind has one branch that gives its decoding rule twice, side by
-    side: as a per-query predicate or rank function over the listed
-    sets, and as a table source that decodes the whole subset lattice
-    with vectorised transforms.  The ``rank`` kind lists all ``2**n``
-    sets, so it gets the table source alone.  Hyperplane-side kinds
-    decode through their :func:`dual`: A is independent iff E - A spans
-    the dual.
+    The view's table comes from :func:`tables.decode`, which reads every
+    kind's listed sets by subset transforms.  Here each kind gets only its
+    per-query rule over the listed sets, an independence predicate or a
+    rank function.  The listed precomputation a rule needs (minimal
+    spanning sets, flat heights) runs at its first query, so the table
+    route never runs it.  The ``rank`` kind lists all ``2**n`` sets, so it
+    has the table alone.  Hyperplane-side kinds query through their
+    :func:`dual`: A is independent iff E - A spans the dual.
     """
     n, kind, sets = desc.n, desc.kind, desc.sets
     full = full_mask(n)
     indep = rank = None
 
-    def from_rank(ranks: np.ndarray) -> np.ndarray:
+    def source() -> np.ndarray:
         from . import tables
 
-        return ranks == tables.popcounts(n)
+        return tables.decode(desc)
 
-    if kind == "rank":
-        def source() -> np.ndarray:
-            import numpy as np
+    if kind == "independent":
+        listed = cache(lambda: frozenset(sets))
 
-            ranks = np.zeros(1 << n, dtype=np.int8)
-            ranks[np.array(sets, dtype=np.int64)] = desc.set_ranks
-            return from_rank(ranks)
-
-    elif kind == "independent":
-        listed = frozenset(sets)
-        indep = listed.__contains__
-
-        def source() -> np.ndarray:
-            from . import tables
-
-            return tables.indicator(n, sets)
+        def indep(a: int) -> bool:
+            return a in listed()
 
     elif kind in ("spanning", "bases"):
         if not sets:
             raise ValueError(f"{kind} description lists no sets")
-        bases = minimal_sets(sets) if kind == "spanning" else list(sets)
+        bases = cache(lambda: minimal_sets(sets) if kind == "spanning" else sets)
 
         def indep(a: int) -> bool:
-            return any(a & b == a for b in bases)
-
-        def source() -> np.ndarray:
-            from . import tables
-
-            return tables.down_closure(tables.indicator(n, bases), n)
+            return any(a & b == a for b in bases())
 
     elif kind in ("circuits", "nsc"):
         # independent: at most r elements and no listed circuit inside
@@ -394,72 +369,35 @@ def to_view(desc: Description) -> MatroidView:
         def indep(a: int) -> bool:
             return a.bit_count() <= r and not any(a & c == c for c in sets)
 
-        def source() -> np.ndarray:
-            from . import tables
-
-            return ~tables.up_closure(tables.indicator(n, sets), n) & (tables.popcounts(n) <= r)
-
     elif kind in ("hyperplanes", "dephyp"):
-        co = to_view(dual(desc))
+        co = cache(lambda: to_view(dual(desc)))
 
         def indep(a: int) -> bool:
-            return co._rank_of(full & ~a) == co.full_rank
-
-        def source() -> np.ndarray:
-            from . import tables
-
-            # rank_table(co) would cache two tables on co, kept alive here
-            co_rank = tables.rank_from_independence(co.table_source(), n)
-            # full ^ m == 2^n - 1 - m, so the reversal reads r*(E - A)
-            return co_rank[::-1] == co_rank[-1]
+            return co()._rank_of(full & ~a) == co().full_rank
 
     elif kind == "flats":
         if full not in sets:
             raise ValueError("flats description does not list the ground set")
-        heights = _flat_heights(sets)
+        heights = cache(lambda: _flat_heights(sets))
 
         def rank(a: int) -> int:
             closed = full
             for f in sets:
                 if a & f == a:
                     closed &= f
-            if closed not in heights:
+            if closed not in heights():
                 raise _unlisted_intersection(n, closed)
-            return heights[closed]
-
-        def source() -> np.ndarray:
-            import numpy as np
-
-            closure = _flat_closure(n, sets)
-            height_of = np.full(1 << n, -1, dtype=np.int8)
-            height_of[np.fromiter(heights, dtype=np.int64)] = list(heights.values())
-            ranks = height_of[closure]
-            if ranks.min() < 0:
-                raise _unlisted_intersection(n, int(closure[np.argmin(ranks)]))
-            return from_rank(ranks)
+            return heights()[closed]
 
     elif kind == "cyclicflats":
         # r(A) = min over listed Z of r(Z) + |A - Z|
-        pairs = list(zip(sets, desc.set_ranks))
-        if not pairs:
+        if not sets:
             raise ValueError("cyclic-flats description lists no sets")
 
         def rank(a: int) -> int:
-            return min(rz + (a & ~z).bit_count() for z, rz in pairs)
+            return min(rz + (a & ~z).bit_count() for z, rz in zip(sets, desc.set_ranks))
 
-        def source() -> np.ndarray:
-            import numpy as np
-
-            from . import tables
-
-            pc = tables.popcounts(n)
-            masks = np.arange(1 << n, dtype=np.int32)
-            ranks = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
-            for z, rz in pairs:
-                np.minimum(ranks, pc[masks & (full ^ z)] + np.int8(rz), out=ranks)
-            return from_rank(ranks)
-
-    else:
+    elif kind != "rank":
         raise ValueError(f"unknown description kind {kind!r}")
 
     return MatroidView(n, indep=indep, rank=rank, table_source=source)
@@ -620,8 +558,6 @@ def validate(desc: Description) -> ValidationReport:
 
     Never raises; every problem becomes a failed check in the report.
     """
-    import numpy as np
-
     from . import tables
 
     checks: List[Tuple[str, bool, str]] = []
@@ -638,11 +574,11 @@ def validate(desc: Description) -> ValidationReport:
         family = "circuits" if kind in ("circuits", "nsc") else "hyperplanes"
         add(f"{family}-antichain", not witness, witness)
     elif kind == "flats":
-        closure = _flat_closure(n, sets)
-        unlisted = np.flatnonzero(~tables.indicator(n, sets)[closure])
         witness = ""
-        if len(unlisted):
-            witness = str(_unlisted_intersection(n, int(closure[unlisted[0]])))
+        try:
+            tables.flat_closure(n, sets)
+        except ValueError as exc:
+            witness = str(exc)
         add("flats-intersection-closed", not witness, witness)
 
     try:

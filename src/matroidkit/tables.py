@@ -1,9 +1,12 @@
-"""Exhaustive subset tables for a matroid view.
+"""Exhaustive subset tables: the decode and the encode of every kind.
 
 Everything here enumerates all ``2**n`` subsets, which the ground-set
 cap keeps affordable.  These tables are the independent oracle against
 which the listed-data algorithms are checked, and the engine behind
-exhaustive re-encoding.
+exhaustive re-encoding.  Both directions of each kind's rule live here:
+:func:`decode` reads a description's listed sets into its independence
+table, and :func:`family_table` reads a view's tables back into the
+sets a description of a kind lists.
 
 Tables are indexed by mask and built with Yates-style subset transforms:
 one vectorised pass per element over the two halves of the table that
@@ -20,7 +23,9 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import KINDS
+from .bitsets import full_mask
 from .core import MatroidView
+from .descriptions import Description, _unlisted_intersection, dual
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +172,61 @@ def matroid_violation(view: MatroidView) -> Optional[Tuple[str, int, Tuple[int, 
                 a = int(high) << (f + 1) | int(mid) << (e + 1) | int(low)
                 return "exchange", a, (e, f)
     return None
+
+
+def flat_closure(n: int, flats: Sequence[int]) -> np.ndarray:
+    """The intersection of the listed flats containing each mask (the
+    ground set where none does): a superset-AND transform.  ``ValueError``
+    naming the closure of the lowest mask whose closure is not listed."""
+    closure = np.full(1 << n, full_mask(n), dtype=np.int32)
+    closure[np.array(flats, dtype=np.int64)] = flats
+    unlisted = np.flatnonzero(~indicator(n, flats)[superset_and(closure, n)])
+    if len(unlisted):
+        raise _unlisted_intersection(n, int(closure[unlisted[0]]))
+    return closure
+
+
+def decode(desc: Description) -> np.ndarray:
+    """The independence table of a description, read from its listed
+    sets alone by subset transforms: the table source of every view that
+    ``descriptions.to_view`` returns.  Hyperplane-side kinds decode their
+    :func:`~matroidkit.descriptions.dual`, and A is independent iff E - A
+    spans it; flats give the closure, and A is independent iff no e in A
+    lies in cl(A - e)."""
+    n, kind, sets = desc.n, desc.kind, desc.sets
+    if kind == "independent":
+        return indicator(n, sets)
+    if kind in ("spanning", "bases"):
+        listed = indicator(n, sets)
+        if kind == "spanning":  # the minimal listed sets
+            listed &= ~strict_up_closure(listed, n)
+        return down_closure(listed, n)
+    if kind in ("circuits", "nsc"):
+        r = n if kind == "circuits" else desc.r
+        return ~up_closure(indicator(n, sets), n) & (popcounts(n) <= r)
+    if kind in ("hyperplanes", "dephyp"):
+        co_rank = rank_from_independence(decode(dual(desc)), n)
+        # full ^ m == 2^n - 1 - m, so the reversal reads r*(E - A)
+        return co_rank[::-1] == co_rank[-1]
+    if kind == "flats":
+        closure = flat_closure(n, sets)
+        out = np.ones(1 << n, dtype=bool)
+        for b in range(n):
+            closed_without, _ = halves(closure, b)
+            _, out_with = halves(out, b)
+            out_with &= (closed_without & (1 << b)) == 0
+        return out
+    if kind == "rank":
+        ranks = np.zeros(1 << n, dtype=np.int8)
+        ranks[np.array(sets, dtype=np.int64)] = desc.set_ranks
+    elif kind == "cyclicflats":
+        pc, masks = popcounts(n), np.arange(1 << n, dtype=np.int32)
+        ranks = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
+        for z, rz in zip(sets, desc.set_ranks):
+            np.minimum(ranks, pc[masks & ~z] + np.int8(rz), out=ranks)
+    else:
+        raise ValueError(f"unknown description kind {kind!r}")
+    return ranks == popcounts(n)
 
 
 def family_table(view: MatroidView, kind: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from matroidkit import (
@@ -21,8 +22,9 @@ from matroidkit import (
     validate,
 )
 from matroidkit.bitsets import format_bits
+from matroidkit.cli import main
 from matroidkit.descriptions import dual, encode_text
-from matroidkit.tables import rank_table, views_equal
+from matroidkit.tables import independence_table, rank_table, views_equal
 
 from conftest import corpus_params
 
@@ -390,6 +392,29 @@ def test_validate_rejects_non_hereditary_independent_sets():
     report = validate(description("independent", 2, [0b00, 0b11]))
     assert not report.ok
     assert any(f.startswith("matroid-hereditary: ") for f in report.failures)
+
+
+#: Closed under intersection, but no matroid's flats: {2} closes to E.
+FLATS_OF_NO_MATROID = "matroid flats n=3\n000\n100\n010\n111\n"
+
+
+def test_flats_of_no_matroid_decode_by_closure(tmp_path, capsys):
+    desc = parse(FLATS_OF_NO_MATROID)
+    view = to_view(desc)
+    # A is independent iff no e in A lies in cl(A - e): 0 lies in cl({2}) = E
+    assert np.flatnonzero(independence_table(view)).tolist() == [0, 1, 2, 3, 4]
+    # the per-query rule still ranks each set by the height of its closure
+    assert [view.rank(m) for m in range(8)] == [0, 1, 1, 2, 2, 2, 2, 2]
+    report = (
+        "ok   flats-intersection-closed\n"
+        "FAIL matroid-exchange (r(A+0) + r(A+1) < r(A+0+1) + r(A) for A = 001)\n"
+        "FAIL round-trip (decode/re-encode does not reproduce the description)"
+    )
+    assert str(validate(desc)) == report
+    path = tmp_path / "flats.txt"
+    path.write_text(FLATS_OF_NO_MATROID)
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().out == report + "\n"
 
 
 # -- listed duality ------------------------------------------------------

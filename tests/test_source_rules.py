@@ -307,6 +307,52 @@ def test_the_classify_rule_sees_every_form():
     assert _classify_uses(source) == [2, 3, 6, 7, 8]
 
 
+#: The listed layer's helpers: Python loops over the listed sets, some of
+#: them quadratic in the listing, and the view that runs such rules.
+LISTED_HELPERS = frozenset(
+    {"minimal_sets", "maximal_sets", "canonical_order", "columns", "_flat_heights", "to_view"}
+)
+
+
+def _listed_helper_uses(source: str):
+    """Lines that import, call or otherwise name a listed-layer helper."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in LISTED_HELPERS:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in LISTED_HELPERS:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name in LISTED_HELPERS for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_table_decoder_names_no_listed_helper():
+    # tables.decode reads each kind's listed sets by subset transforms
+    # alone, so a table costs n * 2**n cells whatever the listing's size
+    path = SOURCES[0].parent / "tables.py"
+    lines = _listed_helper_uses(path.read_text(encoding="utf-8"))
+    assert not lines, f"tables.py: listed-layer helper named on line(s) {lines}"
+
+
+def test_the_listed_helper_rule_sees_every_form():
+    source = (
+        "from .bitsets import minimal_sets\n"
+        "from .bitsets import maximal_sets as tops, popcount\n"
+        "from . import bitsets, descriptions\n"
+        "def decode(desc):\n"
+        "    heights = descriptions._flat_heights(desc.sets)\n"
+        "    return bitsets.canonical_order(desc.sets)\n"
+        "class Holder:\n"
+        "    def rows(self, sets, n):\n"
+        "        return [columns(s, n) for s in sets]\n"
+        "view = descriptions.to_view\n"
+        "x = bitsets.full_mask(3)\n"
+    )
+    assert _listed_helper_uses(source) == [1, 2, 5, 6, 9, 10]
+
+
 def _isomorphic_uses(source: str, helper: str = "_first_minor"):
     """Lines that name ``isomorphic`` (a call, an attribute, an alias or
     a bare reference) outside the function ``helper`` and outside the

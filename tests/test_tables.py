@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from matroidkit import (
     KINDS,
+    descriptions,
     bicircular,
     description,
     encode_from_oracle,
@@ -249,6 +250,48 @@ def antichain_descriptions(draw):
 @given(antichain_descriptions())
 def test_engine_matches_predicate_path_on_antichains(desc):
     _assert_engine_matches(desc)
+
+
+@st.composite
+def comparable_families(draw):
+    """Random spanning or independent families, possibly non-matroidal,
+    that are neither antichains nor closed upward: each holds a set and
+    a proper subset of it, and not the ground set.  So the spanning
+    table must first find the minimal listed sets."""
+    n = draw(st.integers(2, 8))
+    full = full_mask(n)
+    big = draw(st.integers(1, full - 1))
+    small = big & ~(big & -big) & draw(st.integers(0, full))
+    others = draw(st.lists(st.integers(0, full - 1), max_size=10))
+    kind = draw(st.sampled_from(("spanning", "independent")))
+    return description(kind, n, sorted({big, small, *others}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(comparable_families())
+def test_engine_matches_predicate_path_on_comparable_families(desc):
+    _assert_engine_matches(desc)
+
+
+@pytest.mark.parametrize("kind", ["spanning", "flats"])
+def test_the_table_route_runs_no_listed_precomputation(monkeypatch, kind):
+    # the minimal spanning sets and the flat heights are the per-query
+    # rules' own precomputation: built at the first query, then kept
+    desc = encode_from_oracle(uniform(3, 6), kind)
+    calls = []
+    for name in ("minimal_sets", "_flat_heights"):
+        real = getattr(descriptions, name)
+        monkeypatch.setattr(
+            descriptions, name, lambda sets, name=name, real=real: calls.append(name) or real(sets)
+        )
+    view = to_view(desc)
+    rank_table(view)
+    assert calls == []
+    assert view.rank(0b000111) == 3
+    helper = "minimal_sets" if kind == "spanning" else "_flat_heights"
+    assert calls == [helper]
+    assert view.rank(0b011011) == 3 and view.is_independent(0b1111) is False
+    assert calls == [helper]
 
 
 # -- construction table sources against the per-mask predicate path -------
