@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import index
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 # numpy and ``tables`` load in the functions that run array passes or
@@ -97,12 +98,12 @@ def description(
 
     Duplicates, sets outside the ground set and missing or spurious rank
     data are structural errors; the checked fields go to
-    :func:`canonical`.
+    :func:`canonical`.  Numbers are read by ``operator.index``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown description kind {kind!r}")
-    check_ground(n)
-    sets = [int(m) for m in sets]
+    n = check_ground(index(n))
+    sets = [index(m) for m in sets]
     full = full_mask(n)
     if sets and not 0 <= min(sets) <= max(sets) <= full:
         check_mask(next(m for m in sets if not 0 <= m <= full), n)
@@ -111,12 +112,13 @@ def description(
     if kind in PER_SET_RANK_KINDS:
         if set_ranks is None or len(set_ranks) != len(sets):
             raise ValueError(f"kind {kind!r} needs one rank per listed set")
-        set_ranks = [int(v) for v in set_ranks]
+        set_ranks = [index(v) for v in set_ranks]
         for v in set_ranks:
             if not 0 <= v <= n:
                 raise ValueError(f"set rank {v} outside [0, {n}]")
     elif set_ranks is not None:
         raise ValueError(f"kind {kind!r} does not take per-set ranks")
+    r = None if r is None else index(r)
     _check_header(kind, n, r, len(sets))
     return canonical(kind, n, sets, set_ranks, r)
 

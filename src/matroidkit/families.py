@@ -16,7 +16,7 @@ from . import FAMILY_TAGS
 from .bitsets import check_ground
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
 from .descriptions import canonical, int_records, to_view
-from .tables import image_table, popcounts, up_closure
+from .tables import image_table, popcounts, subset_fold
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def bicircular(g: MultiGraph) -> MatroidView:
             for u, w in g.edges
         ]
         touched = np.bitwise_count(image_table(g.m, ends))
-        return ~up_closure(popcounts(g.m) > touched, g.m)
+        return ~subset_fold(popcounts(g.m) > touched, g.m, np.bitwise_or)
 
     return MatroidView(g.m, table_source=table)
 

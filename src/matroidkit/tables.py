@@ -8,8 +8,8 @@ exhaustive re-encoding.  Both directions of each kind's rule live here:
 table, and :func:`family_table` reads a view's tables back into the
 sets a description of a kind lists.
 
-Tables are indexed by mask and built with Yates-style subset transforms:
-one vectorised pass per element over the two halves of the table that
+Tables are indexed by mask.  :func:`subset_fold` and :func:`superset_fold`
+fold a table in one vectorised pass per element over its two halves that
 differ only in that element, O(n * 2**n) work in all.  Every table
 starts from a view's table source; a view without one has no table.
 A view caches its independence and rank tables, and no family's table.
@@ -65,48 +65,35 @@ def image_table(n: int, images: Sequence[int]) -> np.ndarray:
     return out
 
 
-def down_closure(table: np.ndarray, n: int) -> np.ndarray:
-    """In place: true on every subset of a set where ``table`` is true."""
+def subset_fold(table: np.ndarray, n: int, op: np.ufunc) -> np.ndarray:
+    """In place: fold each mask's subsets into it with the binary ufunc
+    ``op``; ``np.bitwise_or`` gives the up-closure of a boolean table and
+    ``np.maximum`` the maximum over the subsets of each mask."""
     for b in range(n):
         without, with_b = halves(table, b)
-        without |= with_b
+        op(with_b, without, out=with_b)
     return table
 
 
-def up_closure(table: np.ndarray, n: int) -> np.ndarray:
-    """In place: true on every superset of a set where ``table`` is true."""
+def superset_fold(table: np.ndarray, n: int, op: np.ufunc) -> np.ndarray:
+    """In place: fold each mask's supersets into it with the binary ufunc
+    ``op``; ``np.bitwise_or`` gives the down-closure of a boolean table,
+    and ``np.bitwise_and`` or ``np.minimum`` the AND or minimum over them."""
     for b in range(n):
         without, with_b = halves(table, b)
-        with_b |= without
+        op(without, with_b, out=without)
     return table
 
 
 def strict_up_closure(table: np.ndarray, n: int) -> np.ndarray:
     """True on every proper superset of a set where ``table`` is true."""
-    closed = up_closure(table.copy(), n)
+    closed = subset_fold(table.copy(), n, np.bitwise_or)
     out = np.zeros_like(table)
     for b in range(n):
         closed_without, _ = halves(closed, b)
         _, out_with = halves(out, b)
         out_with |= closed_without
     return out
-
-
-def subset_max(table: np.ndarray, n: int) -> np.ndarray:
-    """In place: the maximum of ``table`` over the subsets of each mask."""
-    for b in range(n):
-        without, with_b = halves(table, b)
-        np.maximum(with_b, without, out=with_b)
-    return table
-
-
-def superset_and(table: np.ndarray, n: int) -> np.ndarray:
-    """In place: the bitwise AND of ``table`` over the supersets of each
-    mask."""
-    for b in range(n):
-        without, with_b = halves(table, b)
-        without &= with_b
-    return table
 
 
 def independence_table(view: MatroidView) -> np.ndarray:
@@ -123,8 +110,8 @@ def independence_table(view: MatroidView) -> np.ndarray:
 
 def rank_from_independence(indep: np.ndarray, n: int) -> np.ndarray:
     """r(A) = the largest independent subset of A: a subset-max
-    transform of the independent sets' cardinalities."""
-    return subset_max(np.where(indep, popcounts(n), np.int8(0)), n)
+    fold of the independent sets' cardinalities."""
+    return subset_fold(np.where(indep, popcounts(n), np.int8(0)), n, np.maximum)
 
 
 def rank_table(view: MatroidView) -> np.ndarray:
@@ -176,11 +163,11 @@ def matroid_violation(view: MatroidView) -> Optional[Tuple[str, int, Tuple[int, 
 
 def flat_closure(n: int, flats: Sequence[int]) -> np.ndarray:
     """The intersection of the listed flats containing each mask (the
-    ground set where none does): a superset-AND transform.  ``ValueError``
+    ground set where none does): a superset-AND fold.  ``ValueError``
     naming the closure of the lowest mask whose closure is not listed."""
     closure = np.full(1 << n, full_mask(n), dtype=np.int32)
     closure[np.array(flats, dtype=np.int64)] = flats
-    unlisted = np.flatnonzero(~indicator(n, flats)[superset_and(closure, n)])
+    unlisted = np.flatnonzero(~indicator(n, flats)[superset_fold(closure, n, np.bitwise_and)])
     if len(unlisted):
         raise _unlisted_intersection(n, int(closure[unlisted[0]]))
     return closure
@@ -188,11 +175,13 @@ def flat_closure(n: int, flats: Sequence[int]) -> np.ndarray:
 
 def decode(desc: Description) -> np.ndarray:
     """The independence table of a description, read from its listed
-    sets alone by subset transforms: the table source of every view that
+    sets alone by :func:`subset_fold` and :func:`superset_fold` in
+    n * 2**n cells whatever their number: the table source of every view
     ``descriptions.to_view`` returns.  Hyperplane-side kinds decode their
     :func:`~matroidkit.descriptions.dual`, and A is independent iff E - A
     spans it; flats give the closure, and A is independent iff no e in A
-    lies in cl(A - e)."""
+    lies in cl(A - e); cyclic flats, iff |A & Z| <= r(Z) for every listed
+    Z, with equality for some."""
     n, kind, sets = desc.n, desc.kind, desc.sets
     if kind == "independent":
         return indicator(n, sets)
@@ -200,10 +189,10 @@ def decode(desc: Description) -> np.ndarray:
         listed = indicator(n, sets)
         if kind == "spanning":  # the minimal listed sets
             listed &= ~strict_up_closure(listed, n)
-        return down_closure(listed, n)
+        return superset_fold(listed, n, np.bitwise_or)
     if kind in ("circuits", "nsc"):
         r = n if kind == "circuits" else desc.r
-        return ~up_closure(indicator(n, sets), n) & (popcounts(n) <= r)
+        return ~subset_fold(indicator(n, sets), n, np.bitwise_or) & (popcounts(n) <= r)
     if kind in ("hyperplanes", "dephyp"):
         co_rank = rank_from_independence(decode(dual(desc)), n)
         # full ^ m == 2^n - 1 - m, so the reversal reads r*(E - A)
@@ -216,17 +205,16 @@ def decode(desc: Description) -> np.ndarray:
             _, out_with = halves(out, b)
             out_with &= (closed_without & (1 << b)) == 0
         return out
-    if kind == "rank":
-        ranks = np.zeros(1 << n, dtype=np.int8)
-        ranks[np.array(sets, dtype=np.int64)] = desc.set_ranks
-    elif kind == "cyclicflats":
-        pc, masks = popcounts(n), np.arange(1 << n, dtype=np.int32)
-        ranks = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
-        for z, rz in zip(sets, desc.set_ranks):
-            np.minimum(ranks, pc[masks & ~z] + np.int8(rz), out=ranks)
-    else:
+    if kind not in ("rank", "cyclicflats"):
         raise ValueError(f"unknown description kind {kind!r}")
-    return ranks == popcounts(n)
+    ranks = np.full(1 << n, 0 if kind == "rank" else 127, dtype=np.int8)
+    ranks[np.array(sets, dtype=np.int64)] = desc.set_ranks
+    if kind == "rank":
+        return ranks == popcounts(n)
+    # ranks(B) becomes the least r(Z) over the listed Z containing B, so the
+    # largest |B| - ranks(B) over the B inside A is the largest |A & Z| - r(Z)
+    superset_fold(ranks, n, np.minimum)
+    return subset_fold(popcounts(n) - ranks, n, np.maximum) == 0
 
 
 def family_table(view: MatroidView, kind: str) -> np.ndarray:

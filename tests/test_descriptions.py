@@ -67,6 +67,26 @@ def test_description_names_the_first_out_of_range_mask(sets, bad):
     assert str(err.value) == f"mask {bad} has bits outside a ground set of size 2"
 
 
+@pytest.mark.parametrize("kind, n, sets, set_ranks, r", [
+    ("independent", 2, [0, 1.9, 2.5], None, None),  # masks, once read as 0, 1, 2
+    ("cyclicflats", 2, [0b11], [0.99], None),  # a set rank, once read as 0
+    ("nsc", 2, [0b11], None, 1.5),  # a header rank, once kept and written as r=1.5
+])
+def test_description_refuses_non_integer_numbers(kind, n, sets, set_ranks, r):
+    with pytest.raises(TypeError):
+        description(kind, n, sets, set_ranks, r)
+
+
+def test_description_reads_numpy_integers_as_ints():
+    d = description(
+        "cyclicflats", np.int64(2), np.array([0b11, 0b01]), np.array([2, 1], dtype=np.int8)
+    )
+    assert d == description("cyclicflats", 2, [0b11, 0b01], [2, 1])
+    assert all(type(v) is int for v in (d.n, *d.sets, *d.set_ranks))
+    h = description("nsc", np.int16(2), [np.uint8(0b11)], r=np.int64(1))
+    assert type(h.r) is int and parse(serialize(h)) == h == description("nsc", 2, [0b11], r=1)
+
+
 # -- text format ---------------------------------------------------------
 
 

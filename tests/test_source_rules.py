@@ -353,6 +353,58 @@ def test_the_listed_helper_rule_sees_every_form():
     assert _listed_helper_uses(source) == [1, 2, 5, 6, 9, 10]
 
 
+def _is_listing(node) -> bool:
+    """``sets``, ``desc.sets``, ``desc.set_ranks`` or a ``zip`` of them."""
+    if isinstance(node, ast.Name):
+        return node.id == "sets"
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("sets", "set_ranks")
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "zip"
+        and any(_is_listing(arg) for arg in node.args)
+    )
+
+
+def _listing_loops(source: str, function: str = "decode"):
+    """Lines of the ``for`` loops and comprehensions inside the top-level
+    ``function`` that iterate over the listing."""
+    lines = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == function:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.For, ast.comprehension)) and _is_listing(node.iter):
+                    lines.append(node.iter.lineno)
+    return sorted(lines)
+
+
+def test_the_table_decoder_never_loops_over_the_listing():
+    # one pass per listed set would make a table's cost grow with k
+    path = SOURCES[0].parent / "tables.py"
+    lines = _listing_loops(path.read_text(encoding="utf-8"))
+    assert not lines, f"tables.decode: loop over the listed sets on line(s) {lines}"
+
+
+def test_the_listing_loop_rule_sees_every_form():
+    source = (
+        "def decode(desc):\n"
+        "    n, sets = desc.n, desc.sets\n"
+        "    for z in sets:\n"
+        "        pass\n"
+        "    for z, rz in zip(sets, desc.set_ranks):\n"
+        "        pass\n"
+        "    rows = [z & 1 for z in desc.sets]\n"
+        "    ranks = {z: rz for z, rz in zip(range(3), desc.set_ranks)}\n"
+        "    for b in range(n):\n"
+        "        bits = any(b for _ in indicator(n, sets))\n"
+        "    return sum(rz for rz in desc.set_ranks)\n"
+        "def encode(desc):\n"
+        "    return [z for z in desc.sets]\n"
+    )
+    assert _listing_loops(source) == [3, 5, 7, 8, 11]
+
+
 def _isomorphic_uses(source: str, helper: str = "_first_minor"):
     """Lines that name ``isomorphic`` (a call, an attribute, an alias or
     a bare reference) outside the function ``helper`` and outside the

@@ -1,14 +1,17 @@
+import functools
+import operator
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matroidkit import (
     KINDS,
     descriptions,
+    tables,
     bicircular,
     description,
     encode_from_oracle,
@@ -20,12 +23,15 @@ from matroidkit import (
 from matroidkit.bitsets import elements, full_mask, submasks
 from matroidkit.tables import (
     classify,
+    decode,
     family_masks,
     family_table,
     independence_table,
     popcounts,
     rank_signature,
     rank_table,
+    subset_fold,
+    superset_fold,
     table_view,
     views_equal,
 )
@@ -323,3 +329,86 @@ def test_bicircular_engine_matches_predicate_path(g, data):
 def test_truncation_engine_matches_predicate_path(name, data):
     view = corpus()[name]
     _assert_source_matches(view.truncate(data.draw(st.integers(0, view.full_rank))))
+
+
+# -- the two folds and the cyclic-flats rule -------------------------------
+
+FOLDS = {
+    np.bitwise_or: lambda values: functools.reduce(operator.or_, values),
+    np.bitwise_and: lambda values: functools.reduce(operator.and_, values),
+    np.maximum: max,
+    np.minimum: min,
+}
+
+
+@st.composite
+def fold_tables(draw):
+    """A random bool, int8 or int32 table over the masks of n <= 6."""
+    n = draw(st.integers(0, 6))
+    dtype = draw(st.sampled_from((np.bool_, np.int8, np.int32)))
+    if dtype is np.bool_:
+        cells = st.booleans()
+    else:
+        info = np.iinfo(dtype)
+        cells = st.integers(int(info.min), int(info.max))
+    return n, np.array(draw(st.lists(cells, min_size=1 << n, max_size=1 << n)), dtype=dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fold_tables(), st.sampled_from(sorted(FOLDS, key=lambda op: op.__name__)))
+def test_folds_reduce_over_every_subset_and_superset(drawn, op):
+    n, table = drawn
+    reduce = FOLDS[op]
+    masks = range(1 << n)
+    below = [reduce([table[s] for s in submasks(m)]) for m in masks]
+    above = [reduce([table[s] for s in masks if s & m == m]) for m in masks]
+    got_below = subset_fold(table.copy(), n, op)
+    got_above = superset_fold(table.copy(), n, op)
+    assert got_below.dtype == got_above.dtype == table.dtype
+    assert got_below.tolist() == np.array(below, dtype=table.dtype).tolist()
+    assert got_above.tolist() == np.array(above, dtype=table.dtype).tolist()
+
+
+def cyclicflats_reference(desc):
+    """The per-flat rule the two folds replace: r(A) as the least
+    r(Z) + |A - Z| over the listed Z, one pass over the table per Z."""
+    n = desc.n
+    pc, masks = popcounts(n), np.arange(1 << n, dtype=np.int32)
+    ranks = np.full(1 << n, np.iinfo(np.int8).max, dtype=np.int8)
+    for z, rz in zip(desc.sets, desc.set_ranks):
+        np.minimum(ranks, pc[masks & ~z] + np.int8(rz), out=ranks)
+    return ranks == popcounts(n)
+
+
+@st.composite
+def cyclicflat_listings(draw):
+    """Any listing a cyclicflats description accepts: n <= 8, any sets,
+    each with any rank in [0, n], so most are not matroids."""
+    n = draw(st.integers(0, 8))
+    sets = draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=16))
+    ranks = [draw(st.integers(0, n)) for _ in sets]
+    return description("cyclicflats", n, sets, ranks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyclicflat_listings())
+@example(description("cyclicflats", 0, [], []))
+@example(description("cyclicflats", 0, [0], [0]))
+@example(description("cyclicflats", 3, [0b011, 0b111], [1, 2]))  # no rank-0 set
+@example(description("cyclicflats", 3, [0b001, 0b110], [3, 3]))  # ranks above |Z|
+def test_cyclicflats_rule_matches_its_per_flat_loop(desc):
+    np.testing.assert_array_equal(decode(desc), cyclicflats_reference(desc))
+
+
+def test_cyclicflats_rule_makes_two_passes_per_element_whatever_the_listing(monkeypatch):
+    n = 8
+    passes = []
+    real = tables.halves
+    monkeypatch.setattr(tables, "halves", lambda table, b: passes.append(b) or real(table, b))
+    counts = []
+    for sets in ([0b0011, 0b0111, 0xFF], range(0, 1 << n, 2)):
+        listing = description("cyclicflats", n, sets, [min(s.bit_count(), 5) for s in sets])
+        passes.clear()
+        decode(listing)
+        counts.append((len(listing.sets), len(passes)))
+    assert counts == [(3, 2 * n), (128, 2 * n)]
