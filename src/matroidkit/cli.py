@@ -15,7 +15,12 @@ from pathlib import Path
 from typing import Iterable
 
 # Only numpy-free names at module level: each handler imports the modules
-# its subcommand needs, so a command loads no more than it runs.
+# its subcommand needs, so a command loads no more than it runs.  numpy
+# loads only where a table is built: in validate, gen, sizes, the
+# exhaustive convert, iso of two matroids, minor, and reduce subgraph and
+# indepset.  A convert along the lattice, iso --encode, intersect3 with
+# the bases algorithm or on listed kinds other than rank, and reduce 3dm
+# never load it.
 from . import FAMILY_TAGS, KINDS
 from .bitsets import CapacityError, format_bits, strict_int
 

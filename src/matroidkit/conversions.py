@@ -33,9 +33,8 @@ and loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 # ``tables``, and with it numpy, loads in the functions that use it
 from .bitsets import canonical_order, columns, elements, full_mask, maximal_sets, minimal_sets
@@ -47,8 +46,7 @@ class PlanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ConversionPlan:
+class ConversionPlan(NamedTuple):
     steps: Tuple[Tuple[str, str], ...]
     exhaustive: bool = False
 

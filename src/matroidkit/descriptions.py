@@ -29,10 +29,9 @@ element 0.  Blank lines are ignored, except on the empty ground set
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import index
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 # numpy and ``tables`` load in the functions that run array passes or
 # build tables, so parsing, serializing and the per-query predicates never
@@ -54,8 +53,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Description:
+class Description(NamedTuple):
     kind: str
     n: int
     sets: Tuple[int, ...]
@@ -63,8 +61,7 @@ class Description:
     r: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SizeMeasure:
+class SizeMeasure(NamedTuple):
     listed_sets: int
     cells: int
     header_bits: int
@@ -489,8 +486,7 @@ def semantically_equal(a: Description, b: Description) -> bool:
 # -- validation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: Tuple[Tuple[str, bool, str], ...]
 
     @property

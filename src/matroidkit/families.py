@@ -2,37 +2,42 @@
 uniform matroids, parallel blow-ups, the six counting families that
 separate the description kinds, bicircular matroids, and the rank-3
 graph encodings used by the hardness reductions.
+
+numpy and ``tables`` load only in the table sources of :func:`uniform`
+and :func:`bicircular`, when a table is built, so the graph records, the
+graph text format and the graph transforms never load them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
-import numpy as np
-
+# ``np`` in annotations is never evaluated
 from . import FAMILY_TAGS
 from .bitsets import check_ground
 from .core import MatroidView, add_parallel, direct_sum, parallel_blowup
 from .descriptions import canonical, int_records, to_view
-from .tables import image_table, popcounts, subset_fold
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    """Vertices 0..v-1 plus an ordered edge list; loops (u == w) and
-    parallel edges are allowed."""
-
+class _MultiGraphFields(NamedTuple):
     v: int
     edges: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.v < 0:
-            raise ValueError(f"negative vertex count {self.v}")
-        for u, w in self.edges:
-            if not (0 <= u < self.v and 0 <= w < self.v):
-                raise ValueError(f"edge ({u}, {w}) outside {self.v} vertices")
+
+class MultiGraph(_MultiGraphFields):
+    """Vertices 0..v-1 plus an ordered edge list; loops (u == w) and
+    parallel edges are allowed."""
+
+    __slots__ = ()
+
+    def __new__(cls, v: int, edges: Tuple[Tuple[int, int], ...]):
+        if v < 0:
+            raise ValueError(f"negative vertex count {v}")
+        for u, w in edges:
+            if not (0 <= u < v and 0 <= w < v):
+                raise ValueError(f"edge ({u}, {w}) outside {v} vertices")
+        return super().__new__(cls, v, edges)
 
     @property
     def m(self) -> int:
@@ -67,7 +72,13 @@ def uniform(r: int, n: int) -> MatroidView:
     table-only view: its one rule is the table ``popcounts <= r``."""
     if not 0 <= r <= n:
         raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
-    return MatroidView(n, table_source=lambda: popcounts(n) <= r)
+
+    def table() -> np.ndarray:
+        from .tables import popcounts
+
+        return popcounts(n) <= r
+
+    return MatroidView(n, table_source=table)
 
 
 #: tag -> (smallest n, builder).  L15's sum has rank n + 1; T truncates it to n.
@@ -123,6 +134,10 @@ def bicircular(g: MultiGraph) -> MatroidView:
     """
 
     def table() -> np.ndarray:
+        import numpy as np
+
+        from .tables import image_table, popcounts, subset_fold
+
         # number the touched vertices densely so their masks fit in 48 bits
         slot: dict = {}
         ends = [

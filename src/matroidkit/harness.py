@@ -8,9 +8,8 @@ as an aligned table and as CSV, both byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import tables
 from .bitsets import CapacityError
@@ -58,8 +57,7 @@ DEFAULT_RANGES: Dict[str, Tuple[int, int]] = {
 }
 
 
-@dataclass(frozen=True)
-class SizeRow:
+class SizeRow(NamedTuple):
     """One (family, n, kind) measurement.
 
     ``expected`` is the closed-form count as text ("<=x" for bounds,
@@ -76,8 +74,7 @@ class SizeRow:
     status: str
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     family: str
     rows: Tuple[SizeRow, ...]
 

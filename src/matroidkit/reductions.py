@@ -5,17 +5,20 @@ matching, subgraph isomorphism, and independent set.
 
 Every positive decision carries a checkable certificate so tests can
 verify answers independently of the search that produced them.
+
+numpy and ``tables`` load only in the functions that build rank tables:
+isomorphism and minor detection.  The listed-data routines (the graph
+encoding, 3-matroid intersection, the 3DM reduction and its brute-force
+check) import neither; a brute-force intersection loads numpy only if
+one of its views answers from a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from . import tables
+# ``np`` in annotations is never evaluated
 from .bitsets import check_ground, elements, from_elements, full_mask, maximal_sets
 from .core import MatroidView, relabel
 from .descriptions import Description, canonical, dual, encode_from_oracle, int_records, to_view
@@ -26,6 +29,8 @@ from .families import MultiGraph, phi, phi_r, subdivision_length
 
 
 def _element_invariants(view: MatroidView, circuits: Sequence[int]):
+    from . import tables
+
     rank = tables.rank_table(view)
     invs = []
     for e in range(view.n):
@@ -47,6 +52,8 @@ def isomorphic(a: MatroidView, b: MatroidView) -> Optional[Tuple[int, ...]]:
     profile) and by incremental circuit correspondence.  Exact but
     exponential in the worst case; intended for desk-scale inputs.
     """
+    from . import tables
+
     if a.n != b.n or a.full_rank != b.full_rank:
         return None
     if tables.rank_signature(a) != tables.rank_signature(b):
@@ -116,8 +123,7 @@ def isomorphic(a: MatroidView, b: MatroidView) -> Optional[Tuple[int, ...]]:
 # -- minor detection -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     """Certificate for a minor: contract ``x``, delete ``y``, then map
     the minor's element ``i`` to the pattern's element ``iso[i]``."""
 
@@ -129,6 +135,8 @@ class MinorWitness:
 def verify_minor_witness(
     host: MatroidView, pattern: MatroidView, w: MinorWitness
 ) -> bool:
+    from . import tables
+
     minor = host.minor(w.x, w.y)
     if minor.n != pattern.n or sorted(w.iso) != list(range(pattern.n)):
         return False
@@ -144,6 +152,8 @@ def _distinct_unions(circuits: Sequence[int], t: int) -> List[int]:
     however many of the C(c, t) combinations share a union: c * t passes
     over ``2**n`` masks, in (t + 1) * 2**n bytes, however few the unions.
     """
+    import numpy as np
+
     if t > len(circuits):
         return []
     levels = np.zeros((t + 1, 1 << max(circuits, default=0).bit_length()), dtype=bool)
@@ -176,6 +186,10 @@ def _first_minor(
     reach :func:`isomorphic`.  Returns the first x that passes, in
     candidate order, as a witness that deletes the rest of E.
     """
+    import numpy as np
+
+    from . import tables
+
     s = pattern.n
     pr = pattern.full_rank
     width = s + 1
@@ -229,6 +243,10 @@ def detect_minor_fixed(
     of at most ``_MINOR_CELLS`` entries, as the x that pass are walked
     in blocks of that size.
     """
+    import numpy as np
+
+    from . import tables
+
     if host.kind == "hyperplanes":
         w = detect_minor_fixed(dual(host), pattern.dual())
         if w is None:
@@ -269,6 +287,8 @@ def detect_minor_exhaustive(
     arrays of at most ``_MINOR_CELLS`` entries, as the x are listed and
     tested in blocks of that size.
     """
+    from . import tables
+
     s = pattern.n
     if s > host.n:
         return None
@@ -291,7 +311,6 @@ def detect_minor_exhaustive(
 # -- graph encoding of descriptions --------------------------------------
 
 
-@dataclass
 class EncodedBipartiteGraph:
     """Bipartite set/element core plus role gadgets.
 
@@ -301,11 +320,24 @@ class EncodedBipartiteGraph:
     off their owners as paths (length = bit position + 1) ending in a
     double triangle.  ``roles`` lists every vertex, in the order it was
     added, with its intended role (for self-checks only); ``edges``
-    holds each edge once.
+    holds each edge once.  The encoder fills both in place, so the
+    record is mutable and unhashable.
     """
 
-    edges: Set[Tuple[object, object]]
-    roles: Dict[object, str]
+    __slots__ = ("edges", "roles")
+    __hash__ = None
+
+    def __init__(self, edges: Set[Tuple[object, object]], roles: Dict[object, str]):
+        self.edges = edges
+        self.roles = roles
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(edges={self.edges!r}, roles={self.roles!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edges, self.roles) == (other.edges, other.roles)
 
 
 def _attach_triangle(enc: EncodedBipartiteGraph, hub, tag) -> None:
@@ -404,20 +436,24 @@ def intersect3_bases(
 # -- 3-dimensional matching ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TripleSystem:
-    """Triples over three disjoint sides of size ``s``; entry ``(a, b,
-    c)`` picks element a of side 1, b of side 2, c of side 3."""
-
+class _TripleSystemFields(NamedTuple):
     s: int
     triples: Tuple[Tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        if len(self.triples) < 1:
+
+class TripleSystem(_TripleSystemFields):
+    """Triples over three disjoint sides of size ``s``; entry ``(a, b,
+    c)`` picks element a of side 1, b of side 2, c of side 3."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: int, triples: Tuple[Tuple[int, int, int], ...]):
+        if len(triples) < 1:
             raise ValueError("a triple system needs at least one triple")
-        for tr in self.triples:
-            if len(tr) != 3 or any(not 0 <= v < self.s for v in tr):
-                raise ValueError(f"triple {tr} outside side size {self.s}")
+        for tr in triples:
+            if len(tr) != 3 or any(not 0 <= v < s for v in tr):
+                raise ValueError(f"triple {tr} outside side size {s}")
+        return super().__new__(cls, s, triples)
 
 
 def parse_3dm(text) -> TripleSystem:
@@ -444,8 +480,7 @@ def has_matching(ts: TripleSystem) -> Optional[Tuple[int, ...]]:
     return None
 
 
-@dataclass(frozen=True)
-class ThreePartitionReduction:
+class ThreePartitionReduction(NamedTuple):
     """Output of the 3DM reduction: one partition matroid per dimension,
     each given both as circuits and as hyperplanes, plus any side
     elements covered by no triple (these make the target size

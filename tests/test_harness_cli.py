@@ -560,7 +560,8 @@ def _fresh_main(*argv: str, blas_threads=None):
 
 
 @pytest.mark.parametrize("module", ["matroidkit", "matroidkit.cli", "matroidkit.conversions",
-                                    "matroidkit.descriptions", "matroidkit.core"])
+                                    "matroidkit.descriptions", "matroidkit.core",
+                                    "matroidkit.families", "matroidkit.reductions"])
 def test_import_leaves_numpy_unloaded(module):
     code = f"import sys, {module}; print('numpy' in sys.modules)"
     assert _fresh(code).strip() == "False"
@@ -685,3 +686,55 @@ def test_every_subcommand_runs_without_networkx(small_inputs, name):
     code, out, _, _ = _blocked_main("", *argv)
     assert code == 0 and out
     assert _blocked_main("networkx", *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_no_subcommand_imports_dataclasses(small_inputs, name):
+    # the records are named tuples or slotted classes; with dataclasses
+    # unimportable, any import of it on the way would end the run
+    argv = SUBCOMMANDS[name].format(d=small_inputs).split()
+    assert _blocked_main("dataclasses", *argv) == _blocked_main("", *argv)
+
+
+#: The search commands that the ``search`` benchmark workload runs, with
+#: whether each builds rank tables and so loads numpy; ``{d}`` is the
+#: inputs directory.  The listed-data commands (the graph encoding,
+#: intersect3 over bases lists, the 3DM reduction and its brute-force
+#: check) load no numpy.
+SEARCH_COMMANDS = {
+    "iso-encode": ("iso --encode {d}/u24.circuits.txt", False),
+    "intersect3-bases": (
+        "intersect3 {d}/u25.bases.txt {d}/u25.bases.txt {d}/u25.bases.txt -k 2"
+        " --algorithm bases", False),
+    "intersect3-bases-none": (
+        "intersect3 {d}/u25.bases.txt {d}/u25.bases.txt {d}/u25.bases.txt -k 3"
+        " --algorithm bases", False),
+    "intersect3-exhaustive": (
+        "intersect3 {d}/u25.bases.txt {d}/u25.bases.txt {d}/u25.bases.txt -k 2"
+        " --algorithm exhaustive", False),
+    "intersect3-exhaustive-none": (
+        "intersect3 {d}/u25.bases.txt {d}/u25.bases.txt {d}/u25.bases.txt -k 3"
+        " --algorithm exhaustive", False),
+    "reduce-3dm": ("reduce 3dm {d}/ts.3dm --verify --out-prefix {d}/r3", False),
+    "iso": ("iso {d}/u25.bases.txt {d}/u25.bases.txt", True),
+    "minor": ("minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt", True),
+    "minor-exhaustive": (
+        "minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt"
+        " --algorithm exhaustive", True),
+    "reduce-subgraph": (
+        "reduce subgraph {d}/k3.graph {d}/p3.graph --verify --out-prefix {d}/rs", True),
+    "reduce-indepset": (
+        "reduce indepset {d}/p3.graph -k 2 --verify --out-prefix {d}/ri", True),
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_COMMANDS)
+def test_only_table_building_search_commands_load_numpy(small_inputs, name):
+    command, loads_numpy = SEARCH_COMMANDS[name]
+    argv = command.format(d=small_inputs).split()
+    code, out, err, loaded = _blocked_main("", *argv)
+    assert code == 0 and out
+    assert loaded == loads_numpy
+    if not loads_numpy:
+        # any numpy import on the way would raise ImportError here
+        assert _blocked_main("numpy", *argv) == (code, out, err, False)

@@ -1,6 +1,7 @@
 """The package surface: every public name, resolved on first access."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,6 +14,17 @@ import pytest
 
 import matroidkit
 from matroidkit import (
+    ConversionPlan,
+    Description,
+    EncodedBipartiteGraph,
+    ExperimentReport,
+    MinorWitness,
+    MultiGraph,
+    SizeMeasure,
+    SizeRow,
+    ThreePartitionReduction,
+    TripleSystem,
+    ValidationReport,
     add_loops,
     add_parallel,
     description,
@@ -157,6 +169,18 @@ MESSAGES = {
         lambda: _raised(uniform, 3, 2), "uniform matroid needs 0 <= r <= n, got r=3, n=2"),
     "cli-iso-one-file": (
         lambda: _cli_stderr("iso", "a.txt"), "iso needs two description files (or --encode FILE)\n"),
+    "multigraph-negative-vertices": (
+        lambda: _raised(MultiGraph, -3, ()), "negative vertex count -3"),
+    "multigraph-edge-outside": (
+        lambda: _raised(lambda: MultiGraph(v=2, edges=((0, 1), (0, 2)))),
+        "edge (0, 2) outside 2 vertices"),
+    "triple-system-empty": (
+        lambda: _raised(TripleSystem, 2, ()), "a triple system needs at least one triple"),
+    "triple-system-outside": (
+        lambda: _raised(lambda: TripleSystem(s=2, triples=((0, 0, 2),))),
+        "triple (0, 0, 2) outside side size 2"),
+    "triple-system-short-triple": (
+        lambda: _raised(TripleSystem, 2, ((0, 0, 0), (0, 1))), "triple (0, 1) outside side size 2"),
 }
 
 
@@ -164,3 +188,105 @@ MESSAGES = {
 def test_error_message_text(case):
     get, message = MESSAGES[case]
     assert get() == message
+
+
+# -- the records -----------------------------------------------------------
+
+
+_D = Description("bases", 2, (1, 2))
+_ROW = SizeRow("L10", 3, "flats", 5, 40, "5", "ok")
+#: Each public record: its class, its parameters as ``str(Parameter)``
+#: (names, order and defaults), one value per field, another value for
+#: its last field, and its repr.
+RECORDS = {
+    "ConversionPlan": (
+        ConversionPlan, "steps, exhaustive=False", [(("bases", "circuits"),), False], True,
+        "ConversionPlan(steps=(('bases', 'circuits'),), exhaustive=False)"),
+    "Description": (
+        Description, "kind, n, sets, set_ranks=None, r=None", ["bases", 2, (1, 2), None, None], 1,
+        "Description(kind='bases', n=2, sets=(1, 2), set_ranks=None, r=None)"),
+    "SizeMeasure": (
+        SizeMeasure, "listed_sets, cells, header_bits", [3, 12, 4], 5,
+        "SizeMeasure(listed_sets=3, cells=12, header_bits=4)"),
+    "ValidationReport": (
+        ValidationReport, "checks", [(("antichain", True, ""),)], (),
+        "ValidationReport(checks=(('antichain', True, ''),))"),
+    "MultiGraph": (
+        MultiGraph, "v, edges", [3, ((0, 1),)], ((1, 2),), "MultiGraph(v=3, edges=((0, 1),))"),
+    "SizeRow": (
+        SizeRow, "family, n, kind, listed_sets, cells, expected, status",
+        ["L10", 3, "flats", 5, 40, "5", "ok"], "mismatch",
+        "SizeRow(family='L10', n=3, kind='flats', listed_sets=5, cells=40, expected='5',"
+        " status='ok')"),
+    "ExperimentReport": (
+        ExperimentReport, "family, rows", ["L10", (_ROW,)], (),
+        "ExperimentReport(family='L10', rows=(SizeRow(family='L10', n=3, kind='flats',"
+        " listed_sets=5, cells=40, expected='5', status='ok'),))"),
+    "MinorWitness": (
+        MinorWitness, "x, y, iso", [1, 2, (0, 1)], (1, 0), "MinorWitness(x=1, y=2, iso=(0, 1))"),
+    "EncodedBipartiteGraph": (
+        EncodedBipartiteGraph, "edges, roles",
+        [{(("anchor",), ("e", 0))}, {("anchor",): "anchor", ("e", 0): "element"}], {},
+        "EncodedBipartiteGraph(edges={(('anchor',), ('e', 0))},"
+        " roles={('anchor',): 'anchor', ('e', 0): 'element'})"),
+    "TripleSystem": (
+        TripleSystem, "s, triples", [1, ((0, 0, 0),)], ((0, 0, 0), (0, 0, 0)),
+        "TripleSystem(s=1, triples=((0, 0, 0),))"),
+    "ThreePartitionReduction": (
+        ThreePartitionReduction, "circuits, hyperplanes, uncovered",
+        [(_D,) * 3, (_D,) * 3, ()], ((0, 1),),
+        "ThreePartitionReduction(circuits=(" + ", ".join([repr(_D)] * 3) + "), hyperplanes=("
+        + ", ".join([repr(_D)] * 3) + "), uncovered=())"),
+}
+
+
+def _fields(cls):
+    return [p.name for p in inspect.signature(cls).parameters.values()]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_equality_and_repr(name):
+    cls, parameters, values, other, text = RECORDS[name]
+    record = cls(*values)
+    params = inspect.signature(cls).parameters.values()
+    assert ", ".join(str(p.replace(annotation=inspect.Parameter.empty)) for p in params) == parameters
+    assert [getattr(record, f) for f in _fields(cls)] == values
+    assert repr(record) == text
+    assert record == cls(**dict(zip(_fields(cls), values)))
+    assert record != cls(*values[:-1], other)
+
+
+@pytest.mark.parametrize("name", [name for name in RECORDS if name != "EncodedBipartiteGraph"])
+def test_frozen_record_refuses_assignment_and_hashes_its_fields(name):
+    cls, _, values, other, _ = RECORDS[name]
+    record = cls(*values)
+    assert hash(record) == hash(cls(*values))
+    for field in _fields(cls):
+        with pytest.raises(AttributeError):
+            setattr(record, field, other)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert [getattr(record, f) for f in _fields(cls)] == values
+
+
+def test_the_encoded_graph_is_a_mutable_unhashable_record():
+    # encode_bipartite fills the record in place
+    record = EncodedBipartiteGraph(set(), {})
+    record.edges = {(1, 2)}
+    assert record == EncodedBipartiteGraph({(1, 2)}, {})
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def test_the_record_methods_read_their_fields():
+    assert ConversionPlan((("bases", "circuits"), ("circuits", "nsc"))).describe() == (
+        "bases -> circuits -> nsc")
+    assert ConversionPlan((), exhaustive=True).describe() == "exhaustive"
+    assert ConversionPlan(()).describe() == "identity"
+    report = ValidationReport((("antichain", True, ""), ("matroid", False, "01 and 10")))
+    assert not report.ok and report.failures == ("matroid: 01 and 10",)
+    assert str(report) == "ok   antichain\nFAIL matroid (01 and 10)"
+    g = MultiGraph(3, ((0, 1), (1, 0), (2, 2)))
+    assert g.m == 3 and not g.is_simple()
+    assert ExperimentReport("L10", (_ROW,)).ok
+    assert not ExperimentReport("L10", (_ROW, SizeRow("L10", 4, "flats", 5, 40, "12", "mismatch"))).ok
