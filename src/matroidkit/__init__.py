@@ -9,8 +9,6 @@ that needs only the text format never pays for numpy, the search
 routines or the experiment harness.
 """
 
-import importlib
-
 #: The description kinds and the counting-family tags.  They are the
 #: CLI's argument choices, so they live here, where building the parser
 #: reads them without loading numpy; ``descriptions`` and ``families``
@@ -36,8 +34,7 @@ _HOMES = {
         "full_mask", "masks_of_size", "max_ground", "parse_bits", "submasks",
     ),
     "core": (
-        "MatroidView", "add_parallel", "direct_sum", "minor_circuits",
-        "parallel_blowup", "relabel",
+        "MatroidView", "add_parallel", "direct_sum", "parallel_blowup", "relabel",
     ),
     "descriptions": (
         "Description", "ParseError", "SizeMeasure", "ValidationReport", "description",
@@ -74,12 +71,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    # __import__, unlike importlib.import_module, is timed by
+    # ``python -X importtime``; importing a submodule binds it as an
+    # attribute of the package
     if name in _HOMES:
-        # importing a submodule binds it as an attribute of the package
-        return importlib.import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    __import__(f"{__name__}.{_HOME[name]}")
+    value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value
     return value
 

@@ -22,15 +22,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 # numpy and ``tables`` load in the functions that build tables, so the
 # listed-data rules never load them; ``np`` in annotations is never evaluated
-from .bitsets import (
-    canonical_order,
-    check_ground,
-    check_mask,
-    elements,
-    from_elements,
-    full_mask,
-    minimal_sets,
-)
+from .bitsets import check_ground, check_mask, elements, full_mask
 
 
 class MatroidView:
@@ -188,7 +180,7 @@ def _pull_back(view: MatroidView, images: Sequence[int], x: int = 0) -> MatroidV
     from . import tables
 
     rank = tables.rank_table(view)
-    at = tables.image_table(len(images), images)
+    at = tables.image_table(images)
     at |= x
     return tables.table_view(len(images), rank[at] - rank[x])
 
@@ -236,26 +228,3 @@ def relabel(view: MatroidView, perm: Sequence[int]) -> MatroidView:
     for old, new in enumerate(perm):
         images[new] = 1 << old
     return _pull_back(view, images)
-
-
-def minor_circuits(
-    circuits: Sequence[int], n: int, x: int, y: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Circuit-rule minor: keep the circuits that avoid ``y``, then
-    contract ``x`` element by element (the circuits of M / e are the
-    minimal non-empty members of {C - e}).  Returns the circuit masks,
-    re-indexed so that the i-th surviving element becomes element i, in
-    canonical order, and the ascending surviving elements.
-
-    Deleting first gives what contracting first would, on any listed
-    antichain: the sets inside E - y are closed under subsets, and for
-    e in x, C - e lies inside E - y exactly when C does.
-    """
-    keep = _survivors(n, x, y)
-    work = {c for c in circuits if not c & y}
-    for e in elements(x):
-        bit = 1 << e
-        work = minimal_sets({c & ~bit for c in work if c & ~bit})
-    pos = {old: i for i, old in enumerate(keep)}
-    renamed = {from_elements(pos[e] for e in elements(c)) for c in work}
-    return tuple(canonical_order(renamed)), keep

@@ -73,10 +73,17 @@ def canonical(
     sets: Iterable[int],
     set_ranks: Optional[Iterable[int]] = None,
     r: Optional[int] = None,
+    *,
+    ordered: bool = False,
 ) -> Description:
     """The one constructor of a :class:`Description`: the sets in canonical
-    (cardinality, value) order, each rank kept with its set.  Unchecked:
-    the sets are distinct ``int`` masks in range, the rank data fits the kind."""
+    (cardinality, value) order, each rank kept with its set; ``ordered``
+    says that they come in that order already, so they are not sorted
+    again.  Unchecked: the sets are distinct ``int`` masks in range, the
+    rank data fits the kind."""
+    if ordered:
+        ranks = None if set_ranks is None else tuple(set_ranks)
+        return Description(kind, n, tuple(sets), ranks, r)
     if set_ranks is None:
         return Description(kind, n, tuple(canonical_order(sets)), None, r)
     rank_of = dict(zip(sets, set_ranks))
@@ -422,7 +429,7 @@ def encode_from_oracle(view: MatroidView, kind: str) -> Description:
     subset against the kind's defining predicate."""
     masks, rank, r = _exhaustive_arrays(view, kind)
     set_ranks = None if rank is None else rank[masks].tolist()
-    return canonical(kind, view.n, masks.tolist(), set_ranks, r)
+    return canonical(kind, view.n, masks.tolist(), set_ranks, r, ordered=True)
 
 
 #: Bytes of the largest block of text that :func:`encode_text` builds at
@@ -560,6 +567,7 @@ def validate(desc: Description) -> ValidationReport:
 
     checks: List[Tuple[str, bool, str]] = []
     n, kind, sets = desc.n, desc.kind, desc.sets
+    closure = None
 
     def add(name: str, passed: bool, detail: str = ""):
         checks.append((name, bool(passed), detail if not passed else ""))
@@ -574,13 +582,16 @@ def validate(desc: Description) -> ValidationReport:
     elif kind == "flats":
         witness = ""
         try:
-            tables.flat_closure(n, sets)
+            closure = tables.flat_closure(n, sets)
         except ValueError as exc:
             witness = str(exc)
         add("flats-intersection-closed", not witness, witness)
 
     try:
         view = to_view(desc)
+        if closure is not None:
+            # decode from the closure table built above, not a second one
+            view.table_source = lambda: tables.decode(desc, closure)
         add(*_matroid_check(view))
         add(
             "round-trip",

@@ -144,7 +144,7 @@ def bicircular(g: MultiGraph) -> MatroidView:
             1 << slot.setdefault(u, len(slot)) | 1 << slot.setdefault(w, len(slot))
             for u, w in g.edges
         ]
-        touched = np.bitwise_count(image_table(g.m, ends))
+        touched = np.bitwise_count(image_table(ends))
         return ~subset_fold(popcounts(g.m) > touched, g.m, np.bitwise_or)
 
     return MatroidView(g.m, table_source=table)

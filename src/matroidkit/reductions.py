@@ -15,8 +15,8 @@ one of its views answers from a table.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import combinations, islice
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 # ``np`` in annotations is never evaluated
 from .bitsets import check_ground, elements, from_elements, full_mask, maximal_sets
@@ -146,45 +146,87 @@ def verify_minor_witness(
 def _distinct_unions(circuits: Sequence[int], t: int) -> List[int]:
     """Distinct unions of exactly ``t`` of the listed circuits, ascending.
 
-    Dynamic programme over the circuit list on boolean tables over the
-    ``2**n`` masks: after the first j circuits, level k marks the unions
-    of exactly k of them.  Each circuit costs one numpy pass per level,
-    however many of the C(c, t) combinations share a union: c * t passes
-    over ``2**n`` masks, in (t + 1) * 2**n bytes, however few the unions.
+    Level by level: a union of k circuits is a union of k - 1 of them
+    joined with a later circuit.  A table over the ``2**n`` masks keeps,
+    for each union of the level, the earliest circuit that can end it,
+    so the unions a circuit may join are a prefix of the level below
+    when that level is ordered by its table entries.  Each level takes
+    two passes over the table and joins every circuit with its prefix in
+    blocks of at most ``_MINOR_CELLS`` cells, a few numpy passes per
+    block, however many of the C(c, t) combinations share a union.
+    Memory: the int32 table, two levels and one block.
     """
     import numpy as np
 
     if t > len(circuits):
         return []
-    levels = np.zeros((t + 1, 1 << max(circuits, default=0).bit_length()), dtype=bool)
-    levels[0, 0] = True
-    for j, c in enumerate(circuits):
-        for k in range(min(t, j + 1), 0, -1):
-            levels[k, np.flatnonzero(levels[k - 1]) | c] = True
-    return np.flatnonzero(levels[t]).tolist()
+    c = len(circuits)
+    cs = np.array(circuits, dtype=np.int64)
+    first = np.empty(1 << max(circuits, default=0).bit_length(), dtype=np.int32)
+    # level 0 is the empty union, which every circuit may join
+    level = found = np.zeros(1, dtype=np.int64)
+    ends = np.ones(c, dtype=np.int64)
+    for _ in range(t):
+        first[:] = c  # c stands for no circuit
+        rows = max(1, _MINOR_CELLS // max(1, int(ends[-1])))
+        for j in range(0, c, rows):
+            part = slice(j, j + rows)
+            joined = level[None, : ends[part][-1]] | cs[part, None]
+            new = (np.arange(joined.shape[1]) < ends[part, None]) & (first[joined] == c)
+            owners = np.broadcast_to(np.arange(j, j + len(joined), dtype=np.int32)[:, None], joined.shape)
+            np.minimum.at(first, joined[new], owners[new])
+        found = np.flatnonzero(first < c)
+        order = np.argsort(first[found], kind="stable")
+        level = found[order]
+        # circuit j may join the unions that an earlier circuit ends
+        ends = np.searchsorted(first[level], np.arange(c))
+    return found.tolist()
 
 
-#: Contract sets, or cells of candidate minor rank tables, handled at once.
-_MINOR_CELLS = 1 << 20
+#: The most cells one array of a minor search holds: a block of
+#: (kept set, contract set) pairs or of circuit joins, the expand tables
+#: of a batch of kept sets, or the minor rank tables gathered at once.
+#: 2**14 int64 cells are 128 KB, and a search's temporaries stay under
+#: 1 MB by tracemalloc.  Larger blocks save few numpy calls and show in
+#: the peak RSS of every minor command; smaller ones cost calls on hosts
+#: with many unions.  Only a single minor table of more cells is
+#: gathered whole.
+_MINOR_CELLS = 1 << 14
 
 
 def _first_minor(
     rt: np.ndarray,
     pattern: MatroidView,
-    candidates: Iterator[Tuple[Tuple[int, ...], np.ndarray]],
+    width: int,
+    contract_sets: Callable[[np.ndarray], Iterator[np.ndarray]],
 ) -> Optional[MinorWitness]:
     """The minor test of both minor searches.
 
-    ``candidates`` yields, in search order, a set A of |N| kept elements
-    (ascending) and an int64 array of contract sets x disjoint from it.
-    The minor for x has the rank table r(S + x) - r(x) over S within A,
-    read from the host's rank table ``rt``: the minor that
-    :func:`verify_minor_witness` checks.  numpy passes keep the x with
-    r(A + x) - r(x) = r(N), gather their minors' rank tables as rows in
-    blocks of at most ``_MINOR_CELLS`` cells, and compare each row's
-    (size, rank) histogram with the pattern's; only rows that match
-    reach :func:`isomorphic`.  Returns the first x that passes, in
-    candidate order, as a witness that deletes the rest of E.
+    The kept sets A of |N| elements are taken in combinations order, in
+    batches of k: as many as fit in ``_MINOR_CELLS`` cells both with
+    their ``width`` contract sets each and with their 2**|N|-cell expand
+    tables.  For the int64 masks of a batch, ``contract_sets`` yields
+    int64 blocks of contract sets x disjoint from them, row i for the
+    i-th A, in the route's order; only a batch of one A is split over
+    several blocks.  A block is thus a run of (A, x) pairs in search
+    order, row-major: combinations order, then the route's order.
+
+    The minor for (A, x) has the rank table r(S + x) - r(x) over S within
+    A, read from the host's rank table ``rt``: the minor that
+    :func:`verify_minor_witness` checks.  Each block takes a few numpy
+    passes: the rank filter passes the pairs with r(A + x) - r(x) = r(N)
+    and drops repeats; the expand tables of a batch, which map each S
+    within A to its mask in E, are built once, by one
+    :func:`tables.image_table` doubling, when a first pair of the batch
+    passes; and the minor tables of the pairs that pass are gathered as
+    rows, at most ``_MINOR_CELLS`` cells at a time, for a (size, rank)
+    histogram against the pattern's.  Only rows that match reach
+    :func:`isomorphic`, in row-major order, so the witness is the first
+    pair in search order that passes, and it deletes the rest of E.
+
+    Cost: a fixed number of numpy calls per block and per gathered chunk,
+    over at most ``_MINOR_CELLS`` cells each.  Memory: besides ``rt``, a
+    few arrays of at most ``_MINOR_CELLS`` cells.
     """
     import numpy as np
 
@@ -192,29 +234,49 @@ def _first_minor(
 
     s = pattern.n
     pr = pattern.full_rank
-    width = s + 1
+    cells = _MINOR_CELLS
+    side = s + 1
     pattern_sig = np.array(tables.rank_signature(pattern))
-    # histogram bin of (size, rank) is size * width + rank
-    size_bins = tables.popcounts(s).astype(np.int64) * width
+    # histogram bin of (size, rank) is size * side + rank
+    size_bins = tables.popcounts(s).astype(np.int64) * side
     full = len(rt) - 1  # rt has one entry per subset of E
-    chunk = max(1, _MINOR_CELLS >> s)
-    for combo, xs in candidates:
-        amask = from_elements(combo)
-        xs = xs[rt[amask | xs] - rt[xs] == pr]
-        if not len(xs):
-            continue
-        expand = tables.image_table(s, [1 << e for e in combo])
-        for lo in range(0, len(xs), chunk):
-            part = xs[lo : lo + chunk]
-            rows = rt[expand[None, :] | part[:, None]] - rt[part, None]
-            bins = np.arange(len(part))[:, None] * width * width + size_bins + rows
-            hist = np.bincount(bins.ravel(), minlength=len(part) * width * width)
-            matches = (hist.reshape(len(part), -1) == pattern_sig).all(axis=1)
-            for i in np.flatnonzero(matches).tolist():
-                sigma = isomorphic(tables.table_view(s, rows[i]), pattern)
-                if sigma is not None:
-                    x = int(part[i])
-                    return MinorWitness(x=x, y=full & ~amask & ~x, iso=sigma)
+    chunk = max(1, cells >> s)
+    per_batch = max(1, cells >> max(s, (width - 1).bit_length()))
+    combos = combinations(range(full.bit_length()), s)
+    while batch := list(islice(combos, per_batch)):
+        kept = 1 << np.array(batch, dtype=np.int64)  # element bits, one row per A
+        amasks = np.bitwise_or.reduce(kept, axis=1)
+        expand = None
+        for xs in contract_sets(amasks):
+            hits = np.flatnonzero(rt[xs | amasks[:, None]] - rt[xs] == pr)
+            if not len(hits):
+                continue
+            owners = hits // xs.shape[1]
+            xs = xs.ravel()[hits]
+            # a repeated (A, x) fails or passes just as its first occurrence
+            # did; a stable sort puts each first occurrence before its repeats
+            key = owners * len(rt) + xs
+            order = np.argsort(key, kind="stable")
+            first = np.ones(len(key), dtype=bool)
+            first[order[1:]] = key[order[1:]] != key[order[:-1]]
+            owners, xs = owners[first], xs[first]
+            if expand is None:
+                expand = tables.image_table(kept)
+            for lo in range(0, len(xs), chunk):
+                part, owner = xs[lo : lo + chunk], owners[lo : lo + chunk]
+                at = expand[owner]
+                at |= part[:, None]
+                rows = rt[at] - rt[part, None]
+                # the histogram bins of each row, in place of ``at``
+                np.add(size_bins, rows, out=at)
+                at += np.arange(len(part))[:, None] * side * side
+                hist = np.bincount(at.ravel(), minlength=len(part) * side * side)
+                matches = (hist.reshape(len(part), -1) == pattern_sig).all(axis=1)
+                for i in np.flatnonzero(matches).tolist():
+                    sigma = isomorphic(tables.table_view(s, rows[i]), pattern)
+                    if sigma is not None:
+                        amask, x = int(amasks[owner[i]]), int(part[i])
+                        return MinorWitness(x=x, y=full & ~amask & ~x, iso=sigma)
     return None
 
 
@@ -236,12 +298,14 @@ def detect_minor_fixed(
     by dualising both matroids (:func:`~matroidkit.descriptions.dual`
     for the host).
 
-    Cost: the unions take one pass over a ``2**n`` boolean table per
-    circuit and level; each A takes one numpy pass over the unions for
-    the rank filter, then 2**|N| table cells per x that passes it.
-    Memory: besides the rank table and the unions, a few int64 arrays
-    of at most ``_MINOR_CELLS`` entries, as the x that pass are walked
-    in blocks of that size.
+    Cost: the unions take a few numpy passes per circuit and level over
+    the unions found so far (:func:`_distinct_unions`).  The minor test
+    then filters C(n, |N|) * u pairs (A, x), u the number of unions, in
+    blocks of at most ``_MINOR_CELLS`` pairs: the x of as many A as fit,
+    or of one A in slices of the unions.  Each distinct pair that passes
+    costs 2**|N| table cells.  Memory: besides the rank table, the unions
+    and the boolean table over ``2**n`` masks that finds them, a few
+    arrays of at most ``_MINOR_CELLS`` cells.
     """
     import numpy as np
 
@@ -263,11 +327,12 @@ def detect_minor_fixed(
         return None
     rt = tables.rank_table(to_view(host))
     unions = np.array(_distinct_unions(list(host.sets), t), dtype=np.int64)
-    # a repeated x fails or passes just as its first occurrence did
-    candidates = (
-        (combo, unions & ~from_elements(combo)) for combo in combinations(range(host.n), s)
-    )
-    return _first_minor(rt, pattern, candidates)
+
+    def contract_sets(amasks):
+        for lo in range(0, len(unions), _MINOR_CELLS):
+            yield unions[lo : lo + _MINOR_CELLS] & ~amasks[:, None]
+
+    return _first_minor(rt, pattern, len(unions), contract_sets)
 
 
 def detect_minor_exhaustive(
@@ -282,30 +347,39 @@ def detect_minor_exhaustive(
     :func:`detect_minor_fixed` shares (:func:`_first_minor`), so on a
     host that is not a matroid the minor is the one
     :func:`verify_minor_witness` checks.  The first witness is the one
-    a per-x loop in that order would find.  Cost: C(n, |N|) * 2**n
-    table cells in numpy.  Memory: besides the rank table, a few int64
-    arrays of at most ``_MINOR_CELLS`` entries, as the x are listed and
-    tested in blocks of that size.
+    a per-x loop in that order would find.
+
+    Cost: C(n, |N|) * 2**n table cells at most, in blocks of at most
+    ``_MINOR_CELLS`` pairs (A, x).  The contract sets of a batch of A
+    take two :func:`tables.image_table` doublings, which deposit the
+    masks below 2**(n - |N|) onto the bits of each E - A.  Where E - A
+    has more elements than a block has bits, a batch holds one A, and
+    its x come as one block of low subsets per subset of the high bits.
+    Memory: besides the rank table, a few arrays of at most
+    ``_MINOR_CELLS`` cells.
     """
+    import numpy as np
+
     from . import tables
 
     s = pattern.n
     if s > host.n:
         return None
-    full = full_mask(host.n)
-    low_count = _MINOR_CELLS.bit_length() - 1
+    rest = host.n - s
+    bits = 1 << np.arange(host.n, dtype=np.int64)
+    low_count = min(rest, _MINOR_CELLS.bit_length() - 1)
 
-    def candidates():
-        for combo in combinations(range(host.n), s):
-            bits = [1 << e for e in elements(full & ~from_elements(combo))]
-            # x = high | low lists the subsets of E - A in ascending order,
-            # one block of low subsets per high subset
-            low_bits, high_bits = bits[:low_count], bits[low_count:]
-            low = tables.image_table(len(low_bits), low_bits)
-            for high in tables.image_table(len(high_bits), high_bits).tolist():
-                yield combo, low | high
+    def contract_sets(amasks):
+        outside = np.broadcast_to(bits, (len(amasks), host.n))[(amasks[:, None] & bits) == 0]
+        outside = outside.reshape(len(amasks), rest)
+        # x = high | low lists the subsets of E - A in ascending order, one
+        # block of low subsets per high subset; a batch of more than one A
+        # has no high bits
+        low = tables.image_table(outside[:, :low_count])
+        for high in tables.image_table(outside[:, low_count:]).T:
+            yield low | high[:, None]
 
-    return _first_minor(tables.rank_table(host), pattern, candidates())
+    return _first_minor(tables.rank_table(host), pattern, 1 << rest, contract_sets)
 
 
 # -- graph encoding of descriptions --------------------------------------

@@ -54,14 +54,18 @@ def indicator(n: int, sets) -> np.ndarray:
     return out
 
 
-def image_table(n: int, images: Sequence[int]) -> np.ndarray:
-    """The OR of ``images[e]`` over the elements e of every mask below
-    ``2**n``, by doubling: one pass per element over :func:`halves`.
-    Images must fit in 63 bits."""
-    out = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        without, with_b = halves(out, b)
-        np.bitwise_or(without, images[b], out=with_b)
+def image_table(images) -> np.ndarray:
+    """For the w images on the last axis of ``images``, the OR of
+    ``images[..., e]`` over the elements e of every mask below ``2**w``:
+    one row of ``2**w`` entries per leading index (a ``(k, w)`` array
+    gives k rows), by doubling, one pass per element.  Images must fit
+    in 63 bits."""
+    images = np.asarray(images, dtype=np.int64)
+    w = images.shape[-1]
+    out = np.zeros((*images.shape[:-1], 1 << w), dtype=np.int64)
+    for b in range(w):
+        # mask (1 << b) | m, for m below 1 << b, adds images[b] to mask m
+        np.bitwise_or(out[..., : 1 << b], images[..., b, None], out=out[..., 1 << b : 2 << b])
     return out
 
 
@@ -173,15 +177,16 @@ def flat_closure(n: int, flats: Sequence[int]) -> np.ndarray:
     return closure
 
 
-def decode(desc: Description) -> np.ndarray:
+def decode(desc: Description, closure: Optional[np.ndarray] = None) -> np.ndarray:
     """The independence table of a description, read from its listed
     sets alone by :func:`subset_fold` and :func:`superset_fold` in
     n * 2**n cells whatever their number: the table source of every view
     ``descriptions.to_view`` returns.  Hyperplane-side kinds decode their
     :func:`~matroidkit.descriptions.dual`, and A is independent iff E - A
-    spans it; flats give the closure, and A is independent iff no e in A
-    lies in cl(A - e); cyclic flats, iff |A & Z| <= r(Z) for every listed
-    Z, with equality for some."""
+    spans it; flats give the closure (``closure``, where the caller has
+    built :func:`flat_closure` of the listing already), and A is
+    independent iff no e in A lies in cl(A - e); cyclic flats, iff
+    |A & Z| <= r(Z) for every listed Z, with equality for some."""
     n, kind, sets = desc.n, desc.kind, desc.sets
     if kind == "independent":
         return indicator(n, sets)
@@ -198,7 +203,8 @@ def decode(desc: Description) -> np.ndarray:
         # full ^ m == 2^n - 1 - m, so the reversal reads r*(E - A)
         return co_rank[::-1] == co_rank[-1]
     if kind == "flats":
-        closure = flat_closure(n, sets)
+        if closure is None:
+            closure = flat_closure(n, sets)
         out = np.ones(1 << n, dtype=bool)
         for b in range(n):
             closed_without, _ = halves(closure, b)

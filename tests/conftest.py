@@ -10,6 +10,8 @@ from functools import lru_cache
 
 import pytest
 
+from matroidkit.bitsets import canonical_order, elements, from_elements, minimal_sets
+from matroidkit.core import _survivors
 from matroidkit import (
     bicircular,
     direct_sum,
@@ -68,6 +70,27 @@ def minor_hosts():
         }
     )
     return views
+
+
+def minor_circuits(circuits, n, x, y):
+    """Circuit-rule minor: keep the circuits that avoid ``y``, then
+    contract ``x`` element by element (the circuits of M / e are the
+    minimal non-empty members of {C - e}).  Returns the circuit masks,
+    re-indexed so that the i-th surviving element becomes element i, in
+    canonical order, and the ascending surviving elements.
+
+    Deleting first gives what contracting first would, on any listed
+    antichain: the sets inside E - y are closed under subsets, and for
+    e in x, C - e lies inside E - y exactly when C does.
+    """
+    keep = _survivors(n, x, y)
+    work = {c for c in circuits if not c & y}
+    for e in elements(x):
+        bit = 1 << e
+        work = minimal_sets({c & ~bit for c in work if c & ~bit})
+    pos = {old: i for i, old in enumerate(keep)}
+    renamed = {from_elements(pos[e] for e in elements(c)) for c in work}
+    return tuple(canonical_order(renamed)), keep
 
 
 def encoded_graph(encoded):

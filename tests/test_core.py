@@ -6,7 +6,6 @@ from matroidkit import (
     MatroidView,
     add_parallel,
     direct_sum,
-    minor_circuits,
     parallel_blowup,
     relabel,
     uniform,
@@ -16,7 +15,7 @@ from matroidkit.conversions import convert_edge
 from matroidkit.reductions import intersect3_bruteforce
 from matroidkit.tables import family_masks, popcounts, rank_table, views_equal
 
-from conftest import corpus_params
+from conftest import corpus_params, minor_circuits
 
 
 def test_uniform_basics():

@@ -371,6 +371,17 @@ def test_validate_rejects_incomplete_flats():
     assert any("intersection" in f for f in report.failures)
 
 
+def test_validate_builds_the_flats_closure_once(monkeypatch):
+    # the intersection check and the decode share one closure table
+    from matroidkit import tables
+
+    built = []
+    flat_closure = tables.flat_closure
+    monkeypatch.setattr(tables, "flat_closure", lambda n, flats: built.append(n) or flat_closure(n, flats))
+    assert validate(encode_from_oracle(uniform(2, 4), "flats")).ok
+    assert built == [4]
+
+
 def test_validate_rejects_non_submodular_rank():
     sets = list(range(4))
     ranks = [0, 1, 1, 1]

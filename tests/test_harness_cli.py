@@ -696,6 +696,14 @@ def test_no_subcommand_imports_dataclasses(small_inputs, name):
     assert _blocked_main("dataclasses", *argv) == _blocked_main("", *argv)
 
 
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_no_subcommand_imports_numpy_ma(small_inputs, name):
+    # np.unique loads numpy.ma, about 10 ms of start-up, on first use;
+    # with numpy.ma unimportable, any such call would end the run
+    argv = SUBCOMMANDS[name].format(d=small_inputs).split()
+    assert _blocked_main("numpy.ma", *argv) == _blocked_main("", *argv)
+
+
 #: The search commands that the ``search`` benchmark workload runs, with
 #: whether each builds rank tables and so loads numpy; ``{d}`` is the
 #: inputs directory.  The listed-data commands (the graph encoding,

@@ -256,6 +256,20 @@ def test_encode_from_oracle_equals_the_checked_route(view, kind, data):
     assert all(type(m) is int for m in got.sets + (got.set_ranks or ()))
 
 
+@settings(max_examples=200, deadline=None)
+@given(distinct_families, st.sampled_from(KINDS), st.data())
+def test_encode_from_oracle_lists_canonically_on_any_table(drawn, kind, data):
+    # any table, matroid or not: the masks come out in canonical order
+    # without a second sort, as canonical() would order them
+    n, sets = drawn
+    view = to_view(description("independent", n, sets))
+    got = encode_from_oracle(view, kind)
+    order = data.draw(st.permutations(range(len(got.sets))))
+    ranks = None if got.set_ranks is None else [got.set_ranks[i] for i in order]
+    assert got == canonical(kind, n, [got.sets[i] for i in order], ranks, got.r)
+    assert type(got.sets) is tuple and type(got.set_ranks) in (tuple, type(None))
+
+
 # -- the builder: description() minus its checks --------------------------
 
 
