@@ -45,7 +45,7 @@ def test_both_routes_keep_the_reference_witness_at_any_block_size(drawn, cells):
 def test_exhaustive_peak_on_the_subgraph_no_instance_is_near_the_block():
     # phi of a 5-vertex path (14 elements) has no minor phi of a triangle
     # (9 elements), so all C(14, 9) kept sets are searched; the peak is
-    # under eight int64 arrays of the block size, 2 MB at 2**15 cells
+    # under eight int64 arrays of the block size, 1 MB at 2**14 cells
     path = multigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     triangle = multigraph(3, [(0, 1), (1, 2), (0, 2)])
     host, pattern = (to_view(d) for d in reduce_subgraph_iso(path, triangle))
