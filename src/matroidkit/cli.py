@@ -17,10 +17,11 @@ from typing import Iterable
 # Only numpy-free names at module level: each handler imports the modules
 # its subcommand needs, so a command loads no more than it runs.  numpy
 # loads only where a table is built: in validate, gen, sizes, the
-# exhaustive convert, iso of two matroids, minor, and reduce subgraph and
-# indepset.  A convert along the lattice, iso --encode, intersect3 with
-# the bases algorithm or on listed kinds other than rank, and reduce 3dm
-# never load it.
+# exhaustive convert, iso on its table route (a long listing, or kinds
+# that no lattice route joins or that only a walk edge joins), minor, and
+# reduce subgraph and indepset.  A convert along the lattice, iso of
+# short listings, iso --encode, intersect3 with the bases algorithm or on
+# listed kinds other than rank, and reduce 3dm never load it.
 from . import FAMILY_TAGS, KINDS
 from .bitsets import CapacityError, format_bits, strict_int
 
@@ -119,10 +120,10 @@ def _cmd_minor(args) -> int:
 
 def _cmd_iso(args) -> int:
     from . import reductions
-    from .descriptions import to_view
-    from .families import MultiGraph, serialize_graph
 
     if args.encode:
+        from .families import MultiGraph, serialize_graph
+
         encoded = reductions.encode_bipartite(_load_description(args.encode))
         index = {node: i for i, node in enumerate(sorted(encoded.roles, key=repr))}
         edges = sorted(
@@ -133,9 +134,10 @@ def _cmd_iso(args) -> int:
     if not args.a or not args.b:
         print("iso needs two description files (or --encode FILE)", file=sys.stderr)
         return 2
-    sigma = reductions.isomorphic(
-        to_view(_load_description(args.a)), to_view(_load_description(args.b))
-    )
+    a, b = _load_description(args.a), _load_description(args.b)
+    route = reductions.iso_route(a, b).describe() if a.n == b.n else "none (ground sets differ)"
+    print(f"route: {route}", file=sys.stderr)
+    sigma = reductions.isomorphic(a, b)
     if sigma is None:
         print("not isomorphic")
         return 1 if args.strict else 0
@@ -172,7 +174,6 @@ def _round_trip(agrees: bool) -> int:
 def _cmd_reduce(args) -> int:
     from . import reductions
     from .descriptions import serialize, to_view
-    from .families import parse_graph, uniform
 
     prefix = args.out_prefix
     if args.problem == "3dm":
@@ -193,6 +194,8 @@ def _cmd_reduce(args) -> int:
                   f"{'yes' if common is not None else 'no'}")
             return _round_trip((matching is None) == (common is None))
         return 0
+    from .families import parse_graph, uniform
+
     if args.problem == "subgraph":
         g = parse_graph(_read(args.g))
         h = parse_graph(_read(args.h))

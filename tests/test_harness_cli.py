@@ -656,7 +656,8 @@ def test_only_array_commands_load_numpy(tmp_path, kind, command, loads_numpy):
 @pytest.fixture(scope="module")
 def small_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
-    for r, n, kind in [(2, 5, "bases"), (2, 5, "circuits"), (2, 4, "circuits")]:
+    for r, n, kind in [(2, 5, "bases"), (2, 5, "circuits"), (2, 4, "circuits"), (3, 5, "bases"),
+                       (2, 10, "rank")]:
         (d / f"u{r}{n}.{kind}.txt").write_text(serialize(encode_from_oracle(uniform(r, n), kind)))
     (d / "k3.graph").write_text("graph n=3\n0 1\n1 2\n0 2\n")
     (d / "p3.graph").write_text("graph n=3\n0 1\n1 2\n")
@@ -709,7 +710,7 @@ def test_no_subcommand_imports_numpy_ma(small_inputs, name):
 #: whether each builds rank tables and so loads numpy; ``{d}`` is the
 #: inputs directory.  The listed-data commands (the graph encoding,
 #: intersect3 over bases lists, the 3DM reduction and its brute-force
-#: check) load no numpy.
+#: check, iso of short listings) load no numpy.
 SEARCH_COMMANDS = {
     "iso-encode": ("iso --encode {d}/u24.circuits.txt", False),
     "intersect3-bases": (
@@ -725,7 +726,10 @@ SEARCH_COMMANDS = {
         "intersect3 {d}/u25.bases.txt {d}/u25.bases.txt {d}/u25.bases.txt -k 3"
         " --algorithm exhaustive", False),
     "reduce-3dm": ("reduce 3dm {d}/ts.3dm --verify --out-prefix {d}/r3", False),
-    "iso": ("iso {d}/u25.bases.txt {d}/u25.bases.txt", True),
+    "iso": ("iso {d}/u25.bases.txt {d}/u25.bases.txt", False),
+    "iso-across-kinds": ("iso {d}/u25.bases.txt {d}/u25.circuits.txt", False),
+    "iso-not-isomorphic": ("iso {d}/u25.bases.txt {d}/u35.bases.txt", False),
+    "iso-long-listing": ("iso {d}/u210.rank.txt {d}/u210.rank.txt", True),
     "minor": ("minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt", True),
     "minor-exhaustive": (
         "minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt"
@@ -747,3 +751,31 @@ def test_only_table_building_search_commands_load_numpy(small_inputs, name):
     if not loads_numpy:
         # any numpy import on the way would raise ImportError here
         assert _blocked_main("numpy", *argv) == (code, out, err, False)
+
+
+#: The search commands that build no graph and no family: with
+#: ``matroidkit.families`` unimportable each gives the same answer.
+FAMILY_FREE_COMMANDS = [
+    "intersect3-bases", "intersect3-exhaustive", "reduce-3dm", "minor", "minor-exhaustive",
+    "iso", "iso-across-kinds", "iso-not-isomorphic",
+]
+
+
+@pytest.mark.parametrize("name", FAMILY_FREE_COMMANDS)
+def test_search_commands_without_graphs_do_not_import_families(small_inputs, name):
+    argv = SEARCH_COMMANDS[name][0].format(d=small_inputs).split()
+    code, out, _, _ = _blocked_main("", *argv)
+    assert code == 0 and out
+    assert _blocked_main("matroidkit.families", *argv)[:2] == (code, out)
+
+
+@pytest.mark.parametrize("command, route", [
+    ("iso {d}/u25.bases.txt {d}/u25.bases.txt", "listed bases"),
+    ("iso {d}/u25.bases.txt {d}/u25.circuits.txt", "listed circuits after bases -> circuits"),
+    ("iso {d}/u210.rank.txt {d}/u210.rank.txt", "table (long listing: 1024 sets at n = 10)"),
+    ("iso {d}/u25.circuits.txt {d}/u24.circuits.txt", "none (ground sets differ)"),
+])
+def test_iso_names_its_route_on_stderr(small_inputs, command, route):
+    code, out, err, _ = _blocked_main("", *command.format(d=small_inputs).split())
+    assert code == 0 and out
+    assert err == [f"route: {route}"]
