@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence, Set
 
 #: Hard ceiling on the ground-set size.  Keeps every mask in one machine
 #: word and every ``2**n`` enumeration affordable.
@@ -94,30 +94,78 @@ def canonical_order(sets: Iterable[int], reverse: bool = False) -> List[int]:
     return sorted(sorted(sets, reverse=reverse), key=int.bit_count, reverse=reverse)
 
 
+#: The walk of :func:`minimal_sets` and :func:`maximal_sets` keeps this
+#: many sets per ground element before it asks :func:`_closed`.  A family
+#: with a short output stays on the walk, whose k * |output| subset tests
+#: then cost less than the check's k * n lookups: in process, the 13 bases
+#: among 8,191 spanning sets of L11 took 1.1 ms by the walk and 16.5 ms by
+#: the check and the local rule.
+_WALK_KEPT = 8
+
+
+def _closed(listed: Set[int]) -> bool:
+    """Whether a family is down-closed, or up-closed within the union of
+    its members, by at most k * n lookups.  Then between two listed sets
+    T < S lies a listed S - e and a listed T + e, so a member is minimal
+    iff no S - e is listed, and maximal iff no S + e is.
+
+    A down-closed family holds the empty set.  A family with every S + e
+    inside its largest mask listed holds the union of each member with
+    that mask, so the largest mask is the union of all members."""
+    if 0 in listed and all(s & ~(1 << e) in listed for s in listed for e in elements(s)):
+        return True
+    top = max(listed, default=0)
+    return all(s | 1 << e in listed for s in listed for e in elements(top & ~s))
+
+
 def minimal_sets(sets: Iterable[int]) -> List[int]:
-    """The inclusion-minimal members of distinct sets, in canonical order,
-    by O(k * |output|) subset tests: canonical order visits the proper
-    subsets of a set first, so a non-minimal set contains a kept one."""
+    """The inclusion-minimal members of distinct sets, in canonical order.
+
+    The walk visits the sets in canonical order, which puts the proper
+    subsets of a set first, and keeps those that contain no kept set:
+    O(k * |output|) subset tests.  Once it has kept ``_WALK_KEPT`` * n + 1
+    sets, a closed family (:func:`_closed`) keeps instead each set with no
+    listed S - e, so the whole costs O(k * n) lookups."""
+    order = canonical_order(sets)
+    switch = _WALK_KEPT * max(order, default=0).bit_length() + 1
     kept: List[int] = []
-    for s in canonical_order(sets):
+    for s in order:
         for m in kept:
             if m & s == m:
                 break
         else:
             kept.append(s)
+            if len(kept) == switch:
+                listed = set(order)
+                if _closed(listed):
+                    return [
+                        s for s in order if not any(s & ~(1 << e) in listed for e in elements(s))
+                    ]
     return kept
 
 
 def maximal_sets(sets: Iterable[int]) -> List[int]:
     """The inclusion-maximal members of distinct sets, in canonical
-    order: :func:`minimal_sets` walked in descending order."""
+    order: :func:`minimal_sets`'s walk in descending order, and on a
+    closed family the sets with no listed S + e."""
+    order = canonical_order(sets, reverse=True)
+    n = max(order, default=0).bit_length()
+    switch = _WALK_KEPT * n + 1
     kept: List[int] = []
-    for s in canonical_order(sets, reverse=True):
+    for s in order:
         for m in kept:
             if s & m == s:
                 break
         else:
             kept.append(s)
+            if len(kept) == switch:
+                listed, ground = set(order), full_mask(n)
+                if _closed(listed):
+                    kept = [
+                        s for s in order
+                        if not any(s | 1 << e in listed for e in elements(ground & ~s))
+                    ]
+                    break
     return kept[::-1]
 
 

@@ -18,10 +18,12 @@ from typing import Iterable
 # its subcommand needs, so a command loads no more than it runs.  numpy
 # loads only where a table is built: in validate, gen, sizes, the
 # exhaustive convert, iso on its table route (a long listing, or kinds
-# that no lattice route joins or that only a walk edge joins), minor, and
-# reduce subgraph and indepset.  A convert along the lattice, iso of
-# short listings, iso --encode, intersect3 with the bases algorithm or on
-# listed kinds other than rank, and reduce 3dm never load it.
+# that no lattice route joins or that only the walk edge flats ->
+# hyperplanes joins), minor on its table route (a search estimated to
+# outlast numpy's import), and reduce subgraph and indepset.  A convert
+# along the lattice, iso of short listings, minor of small listings, iso
+# --encode, intersect3 with the bases algorithm or on listed kinds other
+# than rank, and reduce 3dm never load it.
 from . import FAMILY_TAGS, KINDS
 from .bitsets import CapacityError, format_bits, strict_int
 
@@ -99,18 +101,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_minor(args) -> int:
     from . import reductions
-    from .conversions import convert
-    from .descriptions import to_view
 
     host = _load_description(args.host)
-    pattern = to_view(_load_description(args.pattern))
-    if args.algorithm == "exhaustive":
-        witness = reductions.detect_minor_exhaustive(to_view(host), pattern)
-    else:
-        if host.kind not in ("circuits", "hyperplanes"):
-            host, route = convert(host, "circuits")
-            print(f"host converted to circuits: {route.describe()}", file=sys.stderr)
-        witness = reductions.detect_minor_fixed(host, pattern)
+    pattern = _load_description(args.pattern)
+    fixed = args.algorithm == "circuits"
+    if fixed and host.kind not in ("circuits", "hyperplanes"):
+        from .conversions import convert
+
+        host, route = convert(host, "circuits")
+        print(f"host converted to circuits: {route.describe()}", file=sys.stderr)
+    print(f"route: {reductions.minor_route(host, pattern, fixed)}", file=sys.stderr)
+    search = reductions.detect_minor_fixed if fixed else reductions.detect_minor_exhaustive
+    witness = search(host, pattern)
     if witness is None:
         print("none")
         return 1 if args.strict else 0

@@ -13,8 +13,14 @@ the listing by elements (``bitsets.columns``): one k-bit int per element,
 whose ANDs test a set against every listed set at once.
 
 - rank -> spanning / independent: O(k), one pass over the 2^n rows;
-- spanning -> bases, independent -> bases, flats -> hyperplanes:
-  O(k * |output|) subset tests (``bitsets.minimal_sets``/``maximal_sets``);
+- spanning -> bases, independent -> bases: O(k * n) lookups
+  (``bitsets.minimal_sets``/``maximal_sets``): a walk of O(k * |output|)
+  subset tests until it has kept 8 * n + 1 bases, then k * n to find
+  that a matroid's spanning or independent sets are up- or down-closed
+  and k * n to keep the sets with no listed S - e or S + e; a listing
+  that is not closed, so no matroid's, finishes the walk;
+- flats -> hyperplanes: O(k * |output|) subset tests
+  (``bitsets.maximal_sets`` of the proper flats, which are not closed);
 - independent -> flats: O(k * n) lookups; flats -> cyclicflats the same,
   after ranking the flats by height: O(n) ANDs of k-bit ints per flat;
 - bases -> circuits: O(k * n) dict updates, one per basis B and element

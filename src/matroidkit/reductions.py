@@ -7,10 +7,12 @@ Every positive decision carries a checkable certificate so tests can
 verify answers independently of the search that produced them.
 
 numpy and ``tables`` load only in the functions that build rank tables:
-isomorphism of views or of long listings, and minor detection.  The
-listed-data routines (isomorphism of short listings, the graph encoding,
-3-matroid intersection, the 3DM reduction and its brute-force check)
-import neither; a brute-force intersection loads numpy only if one of
+isomorphism of views or of long listings, and minor detection on views
+or past the cost rule of :func:`minor_route`.  The listed-data routines
+(isomorphism of short listings, minor detection on small listings, which
+builds its rank tables as bytearrays, the graph encoding, 3-matroid
+intersection, the 3DM reduction and its brute-force check) import
+neither; a brute-force intersection loads numpy only if one of
 its views answers from a table.  ``families`` loads only in the two
 builders that take graphs, and ``conversions`` only for an isomorphism
 of two descriptions of different kinds.
@@ -19,23 +21,28 @@ of two descriptions of different kinds.
 from __future__ import annotations
 
 from itertools import combinations, islice
+from math import comb
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 # ``np`` and ``MultiGraph`` in annotations are never evaluated
-from .bitsets import check_ground, elements, from_elements, full_mask, maximal_sets
+from .bitsets import check_ground, elements, from_elements, full_mask, maximal_sets, submasks
 from .core import MatroidView, relabel
-from .descriptions import Description, canonical, dual, encode_from_oracle, int_records, to_view
+from .descriptions import Description, _unlisted_intersection, canonical, dual, encode_from_oracle
+from .descriptions import int_records, to_view
 
 
 # -- matroid isomorphism -------------------------------------------------
 
 
-#: Lattice edges whose rule walks O(k * |output|) subset tests
-#: (``bitsets.minimal_sets`` / ``maximal_sets``): a conversion through
-#: one can cost far more than the table route.  In process, the flats of
-#: U(6,18), a listing short enough for the listed search, take 1.35 s to
-#: convert to hyperplanes; the table route decides the pair in 0.30 s.
-_WALK_EDGES = frozenset({("spanning", "bases"), ("independent", "bases"), ("flats", "hyperplanes")})
+#: Lattice edges whose rule walks O(k * |output|) subset tests on a
+#: matroid's listing (``bitsets.maximal_sets`` of the proper flats, which
+#: are not a closed family): a conversion through one can cost far more
+#: than the table route.  In process, the flats of U(6,18), a listing
+#: short enough for the listed search, take 1.35 s to convert to
+#: hyperplanes; the table route decides the pair in 0.30 s.  A matroid's
+#: spanning and independent sets are closed families, whose minimal and
+#: maximal members take O(k * n) lookups.
+_WALK_EDGES = frozenset({("flats", "hyperplanes")})
 
 
 class IsoRoute(NamedTuple):
@@ -217,8 +224,7 @@ def isomorphic(
 
     Two descriptions take the listed route when :func:`iso_route` finds
     one: their kinds are joined by a lattice route that runs no walk edge
-    (``spanning -> bases``, ``independent -> bases``,
-    ``flats -> hyperplanes``), and L <= 4 * 2**n / n + 2048.  The rule
+    (``flats -> hyperplanes``), and L <= 4 * 2**n / n + 2048.  The rule
     was fitted in process, with numpy loaded, on relabelled pairs of
     uniform, bicircular and separation matroids of 10 to 18 elements
     and every kind: there the listed search took about 1 µs per element,
@@ -418,8 +424,246 @@ def _first_minor(
     return None
 
 
+# -- minor detection on listed sets --------------------------------------
+
+
+def _halves(n: int, b: int) -> List[Tuple[slice, slice]]:
+    """:func:`tables.halves` as slice pairs of a list over the ``2**n``
+    masks: the masks without bit ``b`` and, aligned, those with it.  One
+    pair per block of ``2**b`` masks, or one strided pair per offset in a
+    block, whichever gives fewer."""
+    half, step = 1 << b, 2 << b
+    if 2 * b < n:
+        return [(slice(j, None, step), slice(j + half, None, step)) for j in range(half)]
+    return [(slice(i, i + half), slice(i + half, i + step)) for i in range(0, 1 << n, step)]
+
+
+def _fold(table, n: int, op: Callable[[int, int], int], up: bool = True):
+    """:func:`tables.subset_fold` (``up``) or ``superset_fold`` of a list
+    or bytearray, in place, by the binary function ``op``."""
+    for b in range(n):
+        for without, with_b in _halves(n, b):
+            if up:
+                table[with_b] = map(op, table[with_b], table[without])
+            else:
+                table[without] = map(op, table[without], table[with_b])
+    return table
+
+
+def _rank_fold(indep: bytearray, n: int) -> bytearray:
+    """:func:`tables.rank_from_independence`: the largest independent
+    subset of each mask, a subset-max fold."""
+    return _fold(bytearray(m.bit_count() if i else 0 for m, i in enumerate(indep)), n, max)
+
+
+def _listed_decode(desc: Description) -> bytearray:
+    """:func:`tables.decode` in pure Python: the independence table of a
+    description as 0/1 bytes, by the same folds, so it equals the numpy
+    table on every listing, matroid or not."""
+    n, kind, sets = desc.n, desc.kind, desc.sets
+    full = full_mask(n)
+    listed = bytearray(1 << n)
+    for m in sets:
+        listed[m] = 1
+    if kind == "independent":
+        return listed
+    if kind in ("spanning", "bases"):
+        if kind == "spanning":  # the minimal listed sets: no S - e is up-closed
+            above = _fold(bytearray(listed), n, int.__or__)
+            for m in sets:
+                listed[m] = not any(above[m ^ 1 << e] for e in elements(m))
+        return _fold(listed, n, int.__or__, up=False)
+    if kind in ("circuits", "nsc"):
+        r = n if kind == "circuits" else desc.r
+        above = _fold(listed, n, int.__or__)
+        return bytearray(not a and m.bit_count() <= r for m, a in enumerate(above))
+    if kind in ("hyperplanes", "dephyp"):
+        co_rank = _rank_fold(_listed_decode(dual(desc)), n)
+        return bytearray(v == co_rank[full] for v in reversed(co_rank))
+    if kind == "flats":
+        closure = [full] * (1 << n)
+        for f in sets:
+            closure[f] = f
+        _fold(closure, n, int.__and__, up=False)
+        flats = set(sets)
+        unlisted = next((c for c in closure if c not in flats), None)
+        if unlisted is not None:
+            raise _unlisted_intersection(n, unlisted)
+        return bytearray(
+            all(not closure[m ^ 1 << e] >> e & 1 for e in elements(m)) for m in range(1 << n)
+        )
+    # rank and cyclic flats: the listed ranks, 127 where none is listed
+    ranks = [0 if kind == "rank" else 127] * (1 << n)
+    for m, rank in zip(sets, desc.set_ranks):
+        ranks[m] = rank
+    if kind == "rank":
+        return bytearray(v == m.bit_count() for m, v in enumerate(ranks))
+    _fold(ranks, n, min, up=False)
+    excess = _fold([m.bit_count() - v for m, v in enumerate(ranks)], n, max)
+    return bytearray(v == 0 for v in excess)
+
+
+def _listed_circuits(indep, n: int) -> Dict[int, int]:
+    """:func:`tables.family_masks` of circuits, labelled 0 for
+    :func:`_family_map`: the dependent masks whose single-element
+    deletions are all independent, in (cardinality, value) order."""
+    circuits = [
+        m for m in range(1 << n)
+        if not indep[m] and all(indep[m ^ 1 << e] for e in elements(m))
+    ]
+    return dict.fromkeys(sorted(circuits, key=int.bit_count), 0)
+
+
+def _listed_unions(circuits: Sequence[int], t: int) -> List[int]:
+    """:func:`_distinct_unions` in pure Python: ``levels[k]`` holds the
+    unions of k of the circuits read so far, and each circuit joins the
+    unions of every level below, the top level first."""
+    if t > len(circuits):
+        return []
+    levels = [{0}] + [set() for _ in range(t)]
+    for c in circuits:
+        for k in range(t, 0, -1):
+            levels[k].update([u | c for u in levels[k - 1]])
+    return sorted(levels[t])
+
+
+#: Nanoseconds the listed search spends per cell of the host's rank
+#: table, per (A, x) pair of the exhaustive route, and per union join or
+#: (A, union) pair of the fixed route, by the bounds of
+#: :func:`_listed_minor_cost`.  Fitted in process on uniform and
+#: separation hosts of 7 to 13 elements and patterns of 2 to 6 (2 CPUs,
+#: Python 3.11.7); the bounds overstate the fixed route up to fourfold.
+_TABLE_CELL_NS, _EXHAUSTIVE_PAIR_NS, _FIXED_STEP_NS = 200, 1300, 30
+
+#: What a command line process spends importing numpy before the table
+#: route can start: 68 to 78 ms by ``python -X importtime``.
+_NUMPY_IMPORT_NS = 70_000_000
+
+
+def _listed_minor_cost(n: int, s: int, c: Optional[int] = None, t: int = 0) -> int:
+    """The estimated nanoseconds of a listed minor search for a pattern
+    on s elements in a host on n: the host's rank table of n * 2**n cells,
+    then C(n, s) * 2**(n - s) pairs (A, x) for the exhaustive route.  The
+    fixed route (c host circuits, t pattern circuits) pairs each A with at
+    most min(C(c, t), 2**n) unions, found in c joins with each level below
+    t, of at most min(C(c, k), 2**n) unions each."""
+    cost = _TABLE_CELL_NS * (n << n)
+    if c is None:
+        return cost + _EXHAUSTIVE_PAIR_NS * (comb(n, s) << (n - s))
+    unions = [min(comb(c, k), 1 << n) for k in range(t + 1)]
+    return cost + _FIXED_STEP_NS * (c * sum(unions[:-1]) + comb(n, s) * unions[-1])
+
+
+def minor_route(host: Description, pattern: Description, fixed: bool) -> str:
+    """The route of the fixed (``fixed``) or exhaustive minor search for
+    two descriptions: ``"listed"``, or ``"table (<reason>)"``.
+
+    The listed search runs when its estimate, :func:`_listed_minor_cost`,
+    is at most numpy's import, ``_NUMPY_IMPORT_NS``: in a command line
+    process it then ends about when the table route could start.  The
+    rule reads only sizes known before any table is built: n, |N| and, for
+    the fixed route, the number c of listed host sets and the pattern's t.
+    t is the number of listed pattern sets when they are the circuits the
+    search counts (circuits, or hyperplanes against a hyperplanes host),
+    else C(|N|, |N| / 2), the most an antichain can hold (Sperner).  A
+    pattern larger than the host is no minor, on either route.
+    """
+    n, s = host.n, pattern.n
+    if s > n:
+        return "listed"
+    if fixed:
+        counted = "hyperplanes" if host.kind == "hyperplanes" else "circuits"
+        t = len(pattern.sets) if pattern.kind == counted else comb(s, s // 2)
+        cost = _listed_minor_cost(n, s, len(host.sets), t)
+    else:
+        cost = _listed_minor_cost(n, s)
+    if cost > _NUMPY_IMPORT_NS:
+        return f"table (listed search estimated at {cost / 1e6:,.0f} ms, n = {n})"
+    return "listed"
+
+
+def _listed_minor(
+    host: Description, pattern: Description, fixed: bool
+) -> Optional[MinorWitness]:
+    """Both minor searches on the listed sets, in pure Python: the rank
+    tables are bytearrays equal to ``tables.rank_table(to_view(d))``, and
+    the (A, x) loop of :func:`_first_minor` runs in the same order with
+    the same rank filter, (size, rank) histogram and circuit search, so
+    the witness is the table route's.  The histogram is compared one size
+    level at a time, and a pair leaves at the first level that differs.
+
+    Only a flats listing that is not closed under intersection makes a
+    decode raise; the tables are decoded in the table route's order, the
+    host's first, so the same listing raises."""
+    pattern_view = to_view(pattern)  # the table route's input checks
+    to_view(host)
+    if fixed and host.kind not in ("circuits", "hyperplanes"):
+        raise ValueError(f"host must be circuits or hyperplanes, got {host.kind!r}")
+    # a hyperplanes host is searched on its dual, as the table route does,
+    # which decodes the pattern before it compares the sizes
+    dualised = fixed and host.kind == "hyperplanes"
+    s, n = pattern.n, host.n
+    if s > n and not dualised:
+        return None
+    searched = dual(host) if dualised else host
+    rt = _rank_fold(_listed_decode(searched), n)
+    # the table route's pattern view: its independence table decoded, and
+    # its r(E) by the per-query rule; a rank listing has the table alone
+    indep = _listed_decode(pattern)
+    rank = _rank_fold(indep, s)
+    if dualised:
+        # the dual pattern view, r*(S) = |S| + r(E - S) - r(E)
+        top = rank[-1]
+        rank = [m.bit_count() + v - top for m, v in enumerate(reversed(rank))]
+        indep, pr = [v == m.bit_count() for m, v in enumerate(rank)], s - top
+        if s > n:
+            return None
+    else:
+        pr = rank[-1] if pattern.kind == "rank" else pattern_view.full_rank
+    pattern_circuits = _listed_circuits(indep, s)
+    if fixed:
+        if len(host.sets) < len(pattern_circuits):
+            return None
+        unions = _listed_unions(searched.sets, len(pattern_circuits))
+    full = full_mask(n)
+    # the pattern's (size, rank) histogram, one size level at a time as the
+    # sorted ranks a minor's level must have.  Level 0 always agrees; the
+    # levels from the pattern's smallest circuit up come first, where the
+    # minor of another matroid most often differs
+    low = min(map(int.bit_count, pattern_circuits), default=s + 1)
+    levels = [
+        [m for m in range(1 << s) if m.bit_count() == k]
+        for k in [*range(low, s + 1), *range(1, min(low, s + 1))]
+    ]
+    checks = [(level, sorted([rank[m] for m in level])) for level in levels]
+    for combo in combinations(range(n), s):
+        amask = from_elements(combo)
+        expand = None
+        passed = set()
+        for x in (u & ~amask for u in unions) if fixed else submasks(full & ~amask):
+            rx = rt[x]
+            if rt[x | amask] - rx != pr or x in passed:
+                continue
+            passed.add(x)
+            if expand is None:  # each S within A as its mask in E
+                expand = [0]
+                for e in combo:
+                    expand += [m | 1 << e for m in expand]
+            for level, want in checks:
+                if sorted([rt[expand[m] | x] - rx for m in level]) != want:
+                    break
+            else:
+                minor = [rt[e | x] - rx == m.bit_count() for m, e in enumerate(expand)]
+                sigma = _family_map(s, _listed_circuits(minor, s), pattern_circuits)
+                if sigma is not None:
+                    y = full & ~amask & ~x
+                    # (M* / X \ Y)* = M / Y \ X, with the same element bijection
+                    return MinorWitness(y, x, sigma) if dualised else MinorWitness(x, y, sigma)
+    return None
+
+
 def detect_minor_fixed(
-    host: Description, pattern: MatroidView
+    host: Description, pattern: MatroidView | Description
 ) -> Optional[MinorWitness]:
     """Fixed-pattern minor detection on a circuits or hyperplanes
     description.
@@ -436,8 +680,21 @@ def detect_minor_fixed(
     by dualising both matroids (:func:`~matroidkit.descriptions.dual`
     for the host).
 
-    Cost: the unions take a few numpy passes per circuit and level over
-    the unions found so far (:func:`_distinct_unions`).  The minor test
+    A pattern given as a description, beside the host's, takes the route
+    of :func:`minor_route`: the listed route (:func:`_listed_minor`) when
+    its estimated time is at most numpy's import, else the table route
+    below on ``to_view(pattern)``.  Both return the same witness.
+
+    Cost of the listed route: the host's rank table in n * 2**n cells of
+    pure-Python folds, the unions in c joins with each level of at most
+    2**n unions below t, then one rank filter per pair (A, x), and for a
+    pair that passes the (size, rank) histogram one size level at a
+    time, leaving at the first level that differs: about 0.2 us per
+    table cell and 0.03 us per join or pair (:func:`_listed_minor_cost`).
+
+    Cost of the table route: the unions take a few numpy passes per
+    circuit and level over the unions found so far
+    (:func:`_distinct_unions`).  The minor test
     then filters C(n, |N|) * u pairs (A, x), u the number of unions, in
     blocks of at most ``_MINOR_CELLS`` pairs: the x of as many A as fit,
     or of one A in slices of the unions.  Each distinct pair that passes
@@ -445,6 +702,10 @@ def detect_minor_fixed(
     and the boolean table over ``2**n`` masks that finds them, a few
     arrays of at most ``_MINOR_CELLS`` cells.
     """
+    if isinstance(pattern, Description):
+        if minor_route(host, pattern, fixed=True) == "listed":
+            return _listed_minor(host, pattern, fixed=True)
+        pattern = to_view(pattern)
     import numpy as np
 
     from . import tables
@@ -474,7 +735,7 @@ def detect_minor_fixed(
 
 
 def detect_minor_exhaustive(
-    host: MatroidView, pattern: MatroidView
+    host: MatroidView | Description, pattern: MatroidView | Description
 ) -> Optional[MinorWitness]:
     """Brute force over all disjoint (contract, delete) pairs; the
     correctness oracle for :func:`detect_minor_fixed`.
@@ -487,8 +748,14 @@ def detect_minor_exhaustive(
     :func:`verify_minor_witness` checks.  The first witness is the one
     a per-x loop in that order would find.
 
-    Cost: C(n, |N|) * 2**n table cells at most, in blocks of at most
-    ``_MINOR_CELLS`` pairs (A, x).  The contract sets of a batch of A
+    Two descriptions take the route of :func:`minor_route`, as in
+    :func:`detect_minor_fixed`: the listed route when its estimated time
+    is at most numpy's import, about 1.3 us per pair (A, x) and 0.2 us per
+    cell of the host's n * 2**n rank table; else the table route below on
+    their views.  Both return the same witness.
+
+    Cost of the table route: C(n, |N|) * 2**n table cells at most, in
+    blocks of at most ``_MINOR_CELLS`` pairs (A, x).  The contract sets of a batch of A
     take two :func:`tables.image_table` doublings, which deposit the
     masks below 2**(n - |N|) onto the bits of each E - A.  Where E - A
     has more elements than a block has bits, a batch holds one A, and
@@ -496,6 +763,13 @@ def detect_minor_exhaustive(
     Memory: besides the rank table, a few arrays of at most
     ``_MINOR_CELLS`` cells.
     """
+    if isinstance(host, Description) and isinstance(pattern, Description):
+        if minor_route(host, pattern, fixed=False) == "listed":
+            return _listed_minor(host, pattern, fixed=False)
+    if isinstance(pattern, Description):
+        pattern = to_view(pattern)
+    if isinstance(host, Description):
+        host = to_view(host)
     import numpy as np
 
     from . import tables

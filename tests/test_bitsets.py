@@ -2,12 +2,15 @@ import os
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroidkit import bitsets
 from matroidkit.bitsets import (
     WORD_BITS,
     CapacityError,
+    _closed,
+    canonical_order,
     check_ground,
     check_mask,
     columns,
@@ -17,6 +20,8 @@ from matroidkit.bitsets import (
     full_mask,
     masks_of_size,
     max_ground,
+    maximal_sets,
+    minimal_sets,
     parse_bits,
     submasks,
 )
@@ -121,3 +126,61 @@ def test_parse_bits_accepts_only_zeros_and_ones(text, bad):
     with pytest.raises(ValueError) as err:
         parse_bits(text)
     assert str(err.value) == f"bad character {bad!r} in bitstring {text!r}"
+
+
+# -- extremal members ----------------------------------------------------------
+
+
+def minimal_by_walk(sets):
+    """The walk that ``minimal_sets`` takes on a family that is not
+    closed: canonical order, keeping each set that holds no kept set."""
+    kept = []
+    for s in canonical_order(sets):
+        if not any(m & s == m for m in kept):
+            kept.append(s)
+    return kept
+
+
+def maximal_by_walk(sets):
+    kept = []
+    for s in canonical_order(sets, reverse=True):
+        if not any(s & m == s for m in kept):
+            kept.append(s)
+    return kept[::-1]
+
+
+@st.composite
+def families(draw):
+    """Distinct sets on n <= 8 elements: as drawn, or closed up or down
+    (the up-closure within the union of the drawn sets, or the whole
+    ground set), so that closed and unclosed families both occur."""
+    n = draw(st.integers(0, 8))
+    sets = set(draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12)))
+    closure = draw(st.sampled_from(["none", "down", "up", "up-within"]))
+    if closure == "down":
+        sets = {t for s in sets for t in submasks(s)}
+    elif closure != "none":
+        union = full_mask(n)
+        if closure == "up-within":
+            union = 0
+            for s in sets:
+                union |= s
+        sets = {s | t for s in sets for t in submasks(union & ~s)}
+    return sets, closure
+
+
+@settings(max_examples=400, deadline=None)
+@given(families(), st.sampled_from([0, bitsets._WALK_KEPT]))
+def test_extremal_sets_match_the_walk(drawn, walk_kept):
+    # at 0 kept sets per element every family of a nonempty ground set
+    # asks for closure at its first kept set, so the local rule runs
+    sets, closure = drawn
+    if closure != "none":
+        assert _closed(sets)
+    default, bitsets._WALK_KEPT = bitsets._WALK_KEPT, walk_kept
+    try:
+        assert minimal_sets(sets) == minimal_by_walk(sets)
+        assert maximal_sets(sets) == maximal_by_walk(sets)
+        assert minimal_sets(iter(sorted(sets))) == minimal_by_walk(sets)
+    finally:
+        bitsets._WALK_KEPT = default

@@ -12,6 +12,8 @@ import pytest
 from matroidkit import (
     EDGES,
     KINDS,
+    detect_minor_exhaustive,
+    detect_minor_fixed,
     encode_bipartite,
     encode_from_oracle,
     measure_family,
@@ -22,8 +24,10 @@ from matroidkit import (
     render_table,
     run_separation_suite,
     serialize,
+    to_view,
     uniform,
 )
+from matroidkit.bitsets import format_bits
 from matroidkit.cli import main
 from matroidkit.harness import DEFAULT_RANGES, EXPECTED
 
@@ -657,7 +661,7 @@ def test_only_array_commands_load_numpy(tmp_path, kind, command, loads_numpy):
 def small_inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
     for r, n, kind in [(2, 5, "bases"), (2, 5, "circuits"), (2, 4, "circuits"), (3, 5, "bases"),
-                       (2, 10, "rank")]:
+                       (2, 10, "rank"), (2, 5, "hyperplanes"), (2, 16, "circuits")]:
         (d / f"u{r}{n}.{kind}.txt").write_text(serialize(encode_from_oracle(uniform(r, n), kind)))
     (d / "k3.graph").write_text("graph n=3\n0 1\n1 2\n0 2\n")
     (d / "p3.graph").write_text("graph n=3\n0 1\n1 2\n")
@@ -710,7 +714,8 @@ def test_no_subcommand_imports_numpy_ma(small_inputs, name):
 #: whether each builds rank tables and so loads numpy; ``{d}`` is the
 #: inputs directory.  The listed-data commands (the graph encoding,
 #: intersect3 over bases lists, the 3DM reduction and its brute-force
-#: check, iso of short listings) load no numpy.
+#: check, iso of short listings, minor of small listings) load no numpy.
+#: A minor on 16 elements is past the rule of ``reductions.minor_route``.
 SEARCH_COMMANDS = {
     "iso-encode": ("iso --encode {d}/u24.circuits.txt", False),
     "intersect3-bases": (
@@ -730,10 +735,13 @@ SEARCH_COMMANDS = {
     "iso-across-kinds": ("iso {d}/u25.bases.txt {d}/u25.circuits.txt", False),
     "iso-not-isomorphic": ("iso {d}/u25.bases.txt {d}/u35.bases.txt", False),
     "iso-long-listing": ("iso {d}/u210.rank.txt {d}/u210.rank.txt", True),
-    "minor": ("minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt", True),
+    "minor": ("minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt", False),
     "minor-exhaustive": (
         "minor --host {d}/u25.circuits.txt --pattern {d}/u24.circuits.txt"
-        " --algorithm exhaustive", True),
+        " --algorithm exhaustive", False),
+    "minor-hyperplanes": ("minor --host {d}/u25.hyperplanes.txt --pattern {d}/u24.circuits.txt", False),
+    "minor-past-the-rule": (
+        "minor --host {d}/u216.circuits.txt --pattern {d}/u24.circuits.txt", True),
     "reduce-subgraph": (
         "reduce subgraph {d}/k3.graph {d}/p3.graph --verify --out-prefix {d}/rs", True),
     "reduce-indepset": (
@@ -779,3 +787,32 @@ def test_iso_names_its_route_on_stderr(small_inputs, command, route):
     code, out, err, _ = _blocked_main("", *command.format(d=small_inputs).split())
     assert code == 0 and out
     assert err == [f"route: {route}"]
+
+
+def _witness_text(w, n):
+    """What ``minor`` prints for the witness ``w``."""
+    if w is None:
+        return "none\n"
+    return (f"contract {format_bits(w.x, n)}\ndelete   {format_bits(w.y, n)}\n"
+            + "map " + " ".join(f"{i}->{p}" for i, p in enumerate(w.iso)) + "\n")
+
+
+@pytest.mark.parametrize("host, pattern, algorithm, route", [
+    ("u25.circuits", "u24.circuits", "circuits", "listed"),
+    ("u25.hyperplanes", "u24.circuits", "circuits", "listed"),
+    ("u25.hyperplanes", "u24.circuits", "exhaustive", "listed"),
+    ("u216.circuits", "u24.circuits", "circuits",
+     "table (listed search estimated at 5,999 ms, n = 16)"),
+])
+def test_minor_names_its_route_on_stderr(small_inputs, host, pattern, algorithm, route):
+    paths = [small_inputs / f"{name}.txt" for name in (host, pattern)]
+    code, out, err, loaded = _blocked_main(
+        "", "minor", "--host", str(paths[0]), "--pattern", str(paths[1]), "--algorithm", algorithm)
+    assert code == 0 and err == [f"route: {route}"] and loaded == (route != "listed")
+    # stdout is the witness of the table route
+    h, p = (parse(path.read_text()) for path in paths)
+    if algorithm == "circuits":
+        w = detect_minor_fixed(h, to_view(p))
+    else:
+        w = detect_minor_exhaustive(to_view(h), to_view(p))
+    assert out == _witness_text(w, h.n)

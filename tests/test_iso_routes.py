@@ -114,10 +114,22 @@ def test_the_rule_sends_long_listings_to_the_tables(n):
     assert route.kind is None
 
 
+@pytest.mark.parametrize("a, b, route", [
+    ("spanning", "bases", "listed bases after spanning -> bases"),
+    ("bases", "independent", "listed bases after independent -> bases"),
+    ("independent", "hyperplanes", "listed hyperplanes after independent -> bases -> hyperplanes"),
+])
+def test_closed_listings_take_the_listed_route(a, b, route):
+    # a matroid's spanning and independent sets are up- and down-closed,
+    # so their minimal and maximal members take k * n lookups
+    view = uniform(2, 4)
+    da, db = encode_from_oracle(view, a), encode_from_oracle(view, b)
+    assert iso_route(da, db).describe() == route
+    sigma = isomorphic(da, db)
+    assert sigma is not None and views_equal(relabel(view, sigma), view)
+
+
 @pytest.mark.parametrize("a, b, reason", [
-    ("spanning", "bases", "walk edge spanning -> bases"),
-    ("bases", "independent", "walk edge independent -> bases"),
-    ("independent", "hyperplanes", "walk edge independent -> bases"),
     ("flats", "hyperplanes", "walk edge flats -> hyperplanes"),
     ("circuits", "hyperplanes", "no lattice route between circuits and hyperplanes"),
     ("dephyp", "nsc", "no lattice route between dephyp and nsc"),

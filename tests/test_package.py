@@ -103,9 +103,11 @@ def test_submodule_attribute_resolves_without_a_prior_import(name):
 
 def test_import_time_lists_the_modules_a_handler_loads(tmp_path):
     # a handler's ``from . import reductions`` resolves through the
-    # package's __getattr__; the import must still show in -X importtime
+    # package's __getattr__; the import must still show in -X importtime.
+    # A host of 16 elements is past the listed minor search's rule, so the
+    # search loads ``tables``
     host, pattern = tmp_path / "host.txt", tmp_path / "pattern.txt"
-    host.write_text("matroid circuits n=3\n111\n")
+    host.write_text("matroid circuits n=16\n" + "1" * 16 + "\n")
     pattern.write_text("matroid bases n=2\n10\n01\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
